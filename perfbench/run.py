@@ -10,9 +10,10 @@ S seconds have passed (at least three times). Every output is checked, and
 every rerun must match the first output byte for byte; at the default seed
 the first output is also compared with ``reference.json``.
 
-With ``--trace 0`` the end-to-end metrics are medians over the
-invocations. With ``--trace 1`` untraced and traced invocations alternate,
-the traced ones wrapped by ``layertrace.py`` and run with
+With ``--trace 0`` each child runs ``child.SpeedProbe``, and the end-to-end
+metrics are medians over the invocations of times in reference seconds (see
+``scale_invocation``). With ``--trace 1`` untraced and traced invocations
+alternate, the traced ones wrapped by ``layertrace.py`` and run with
 ``-X importtime``. Medians of the per-layer metrics are reported, plus the
 tracing overhead, and the spans of the last traced invocation are written
 to ``.perfbench/trace-<workload>-seed<N>.json``. The last line of standard
@@ -50,16 +51,13 @@ DEFAULT_SEED = 1
 MIN_INVOCATIONS = 3           # timed invocations per run, however short --seconds is
 START_LIMIT_S = 100.0         # no invocation starts later, so a run ends within 180 s
 INVOCATION_TIMEOUT_S = 45.0
-# Other tenants of a shared host can slow every process by up to 2x for tens
-# of seconds at a time, and CPU time slows with wall time. So each
-# invocation is bracketed by calibration_seconds() in this process, and a
-# run reports times in reference seconds (see Run.speed). Interpreted Python
-# and bulk numpy work slow by different amounts, so the calibration times the
-# two kinds apart and each workload weighs them by its bulk_share. On a machine
-# where both parts take their reference time, reference seconds are plain
-# seconds. One calibration is too short to track the host on its own; the
-# run's median is steady.
-CALIBRATION_REFERENCE_S = (0.15, 0.1)       # (interpreted, bulk)
+# Reference time of each kind of child.SpeedProbe sample: about its mean in a
+# child on a quiet 2-vCPU Xeon host. A time in reference seconds is a raw time
+# multiplied by these over the mean sample times seen while it was measured
+# (see scale_invocation).
+PROBE_REFERENCE_S = {"interpreted": 0.5e-3, "bulk": 1.2e-3}
+# a phase with fewer samples of a kind it is scaled by fails the invocation
+MIN_PROBE_SAMPLES = 5
 # loose enough for reduction-order drift (about 3e-14), tight enough to
 # catch a changed algorithm
 REFERENCE_REL_TOL = 1e-9
@@ -139,31 +137,44 @@ def spawn(argv: list, env: dict, stderr_path: Path, cwd: Path) -> tuple:
     return proc.returncode, exited - spawned, usage.ru_maxrss / 1024.0, spawned
 
 
-def calibration_seconds() -> tuple:
-    """Times of two fixed pieces of work in this process, as speed probes.
+def probe_factor(samples: list, lo: float, hi: float, kinds: dict) -> tuple:
+    """Probe seconds whose samples started in [lo, hi), and the speed factor there.
 
-    The interpreted part runs a Python loop of float arithmetic and dict
-    stores, then numpy calls on 10-element vectors, like the optimizer and
-    spiking layers. The bulk part draws 6M Philox normals and reduces them
-    by rows, like the verification checks and the data streams. Each takes
-    about its CALIBRATION_REFERENCE_S on an idle machine.
+    ``kinds`` maps a probe kind to its weight in the factor. The factor of
+    one kind is its reference time over the mean sample time in the interval.
     """
-    import numpy as np
+    inside = [(kind, seconds) for kind, start, seconds in samples if lo <= start < hi]
+    factor = 0.0
+    for kind, weight in kinds.items():
+        if weight == 0:
+            continue
+        times = [seconds for k, seconds in inside if k == kind]
+        if len(times) < MIN_PROBE_SAMPLES:
+            raise InvocationFailed(f"the speed probe took {len(times)} {kind} samples "
+                                   f"in a phase, fewer than {MIN_PROBE_SAMPLES}")
+        factor += weight * PROBE_REFERENCE_S[kind] / statistics.fmean(times)
+    return sum(seconds for _, seconds in inside), factor
 
-    start = time.perf_counter()
-    acc, last = 0.0, {}
-    for k in range(400_000):
-        acc += math.exp(-k * 1e-6) * 0.5
-        last[k & 63] = acc
-    v = np.ones(10)
-    for _ in range(40_000):
-        v = v + 1e-3 * (np.exp(-v) - np.exp(v))
-    middle = time.perf_counter()
-    gen = np.random.Generator(np.random.Philox(1))
-    for _ in range(2):
-        x = gen.standard_normal((600, 5000))
-        np.einsum("ij,ij->i", x, x)
-    return middle - start, time.perf_counter() - middle
+
+def scale_invocation(result: dict, spawned: float, wall: float, bulk_share: float) -> tuple:
+    """An untraced invocation's end-to-end times in reference seconds.
+
+    Each phase loses the probe's own time and is multiplied by the speed
+    factor of the samples taken in it: the interpreted kind alone for
+    set-up, and the two kinds mixed by the workload's ``bulk_share`` for
+    compute and the rest of the wall time. Returns (figures, compute factor).
+    """
+    samples, imported = result["probe"], result["imported"]
+    start, end = result["start"], result["end"]
+    setup_probe, setup_factor = probe_factor(samples, spawned, imported, {"interpreted": 1.0})
+    compute_probe, factor = probe_factor(samples, start, end, {
+        "interpreted": 1.0 - bulk_share, "bulk": bulk_share})
+    setup = (imported - spawned - setup_probe) * setup_factor
+    compute = (end - start - compute_probe) * factor
+    rest = wall - (imported - spawned) - (end - start) - (
+        sum(s for _, _, s in samples) - setup_probe - compute_probe)
+    return {"setup_s": setup, "compute_s": compute,
+            "wall_s": setup + compute + rest * factor}, factor
 
 
 def scipy_import_seconds(stderr_text: str) -> float:
@@ -189,9 +200,10 @@ class Run:
         self.counts = None
         self.attempted = 0
         self.errors = []
-        self.untraced = []            # per-invocation end-to-end figures, raw times
+        self.untraced = []            # per-invocation end-to-end figures, reference seconds
+        self.raw = []                 # the same figures in raw seconds, probe time included
+        self.factors = []             # per untraced invocation: its compute speed factor
         self.traced = []              # per-invocation per-layer figures, raw times
-        self.calibrations = []        # calibration_seconds() before and between invocations
         self.spans = None
 
     def invoke(self, traced: bool):
@@ -205,10 +217,7 @@ class Run:
             self.workload.command, "--config", str(self.workdir / "config.json"),
             "--out", str(out)]
         try:
-            if not self.calibrations:
-                self.calibrations.append(calibration_seconds())
             code, wall, rss, spawned = spawn(argv, self.env, stderr_path, self.workdir)
-            self.calibrations.append(calibration_seconds())
             stderr = stderr_path.read_text(encoding="utf-8", errors="replace")
             if code != 0:
                 tail = " | ".join(stderr.strip().splitlines()[-3:])
@@ -228,13 +237,13 @@ class Run:
                 self.traced.append(layers)
                 self.spans = result["spans"]
             else:
-                self.untraced.append({
-                    "setup_s": result["imported"] - spawned,
-                    "compute_s": compute,
-                    "wall_s": wall,
-                    "work_per_s": self.workload.work / compute,
-                    "peak_rss_mb": rss,
-                })
+                times, factor = scale_invocation(result, spawned, wall, self.workload.bulk_share)
+                self.untraced.append(times | {
+                    "work_per_s": self.workload.work / times["compute_s"], "peak_rss_mb": rss})
+                self.raw.append({"setup_s": result["imported"] - spawned, "compute_s": compute,
+                                 "wall_s": wall, "work_per_s": self.workload.work / compute,
+                                 "peak_rss_mb": rss})
+                self.factors.append(factor)
             return wall
         except (InvocationFailed, CheckFailed, OSError, ValueError, KeyError) as exc:
             self.errors.append(f"invocation {n}: {type(exc).__name__}: {exc}")
@@ -242,17 +251,6 @@ class Run:
         finally:
             for path in (out, result_path, stderr_path):
                 path.unlink(missing_ok=True)
-
-    def speed(self) -> float:
-        """Factor from this run's raw times to reference seconds.
-
-        It is the reference calibration time over the run's median, per
-        part, mixed by the workload's ``bulk_share``.
-        """
-        interpreted, bulk = (ref / statistics.median(part) for ref, part in
-                             zip(CALIBRATION_REFERENCE_S, zip(*self.calibrations)))
-        share = self.workload.bulk_share
-        return (1.0 - share) * interpreted + share * bulk
 
     def check_output(self, out: Path) -> int:
         """Gate one output; return its size in bytes."""
@@ -296,26 +294,21 @@ def median_of(rows: list, key: str) -> float:
     return statistics.median(row[key] for row in rows)
 
 
-def scaled(run: Run, key: str, value: float) -> float:
-    """A raw figure in reference units: times scale with the host's speed,
-    rates inversely."""
-    speed = run.speed()
-    if key.endswith("_per_s"):
-        return value / speed
-    if key.endswith(("_s", "_us")):
-        return value * speed
-    return value
-
-
 def summarize(run: Run, trace: bool, spec: dict) -> dict:
-    """Metric name -> value for every metric the spec lists for this mode."""
-    rows = run.traced if trace else run.untraced
-    values = {key: scaled(run, key, median_of(rows, key)) for key in rows[0]}
+    """Metric name -> value for every metric the spec lists for this mode.
+
+    Traced invocations run without the speed probe, so their times are
+    scaled by the median compute factor of the run's untraced invocations.
+    """
     if trace:
+        factor = statistics.median(run.factors)
+        values = {key: median_of(run.traced, key) * factor
+                  if key.endswith(("_s", "_us")) else median_of(run.traced, key)
+                  for key in run.traced[0]}
         listed = spec["per_layer"]
-        untraced = scaled(run, "compute_s", median_of(run.untraced, "compute_s"))
-        values["trace.overhead_s"] = values.pop("compute_s") - untraced
+        values["trace.overhead_s"] = values.pop("compute_s") - median_of(run.untraced, "compute_s")
     else:
+        values = {key: median_of(run.untraced, key) for key in run.untraced[0]}
         listed = spec["end_to_end"]
     names = [m["name"] for m in listed]
     if set(names) != set(values):
@@ -334,19 +327,20 @@ def print_summary(run: Run, trace: bool):
         print(f"  FAILED {error}")
     if not run.untraced:
         return
-    interpreted, bulk = (statistics.median(part) for part in zip(*run.calibrations))
-    print(f"  calibration medians {interpreted:.4f} s interpreted, {bulk:.4f} s bulk, "
-          f"over {len(run.calibrations)}; speed factor {run.speed():.4f} "
-          f"at bulk share {w.bulk_share}")
+    factors = sorted(run.factors)
+    print(f"  compute speed factor median {statistics.median(factors):.4f}  min {factors[0]:.4f}"
+          f"  max {factors[-1]:.4f} at bulk share {w.bulk_share}")
     for key in run.untraced[0]:
-        raw = sorted(row[key] for row in run.untraced)
+        values = sorted(row[key] for row in run.untraced)
+        raw = sorted(row[key] for row in run.raw)
         label = f"{w.work_unit}_per_s" if key == "work_per_s" else key
-        print(f"  {label:<14} {scaled(run, key, statistics.median(raw)):<10.6g} "
-              f"raw median {statistics.median(raw):.6g}  min {raw[0]:.6g}  "
-              f"max {raw[-1]:.6g}  n={len(raw)}")
+        print(f"  {label:<14} {statistics.median(values):<10.6g} min {values[0]:<10.6g} "
+              f"max {values[-1]:<10.6g} raw median {statistics.median(raw):.6g}  "
+              f"min {raw[0]:.6g}  max {raw[-1]:.6g}  n={len(raw)}")
     if trace and run.traced:
         print(f"  traced invocations: {len(run.traced)}")
-    print("samples " + json.dumps({"calibrations": run.calibrations, "untraced": run.untraced}))
+    print("samples " + json.dumps({"factors": run.factors, "untraced": run.untraced,
+                                   "raw": run.raw}))
 
 
 def record_reference(run: Run):

@@ -38,10 +38,10 @@ class Workload:
     command: str
     work: int          # units of work per invocation, the base of work_per_s
     work_unit: str     # what one unit is, for the printed summary
-    # weight of the bulk calibration part against the interpreted one: how
-    # closely the workload's speed follows bulk numpy work on a loaded host.
-    # Chosen from 0, 0.25, 0.5, 0.75 and 1 as the value with the smallest
-    # worst compute_s spread over four sets of ten runs on a shared host.
+    # weight of the bulk speed-probe samples against the interpreted ones:
+    # how closely the workload's speed follows bulk numpy work on a loaded
+    # host. Chosen from 0, 0.25, 0.5, 0.75 and 1 as the value that left the
+    # smallest spread of per-invocation compute_s on a shared host.
     bulk_share: float
     write_inputs: Callable[[Path, int], None]
     check: Callable[[Path], dict]
@@ -210,12 +210,12 @@ def _spike_check(path: Path) -> dict:
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("optimize-narrow", "optimize", len(METHODS) * 64 * 500, "steps", 0.25,
+    Workload("optimize-narrow", "optimize", len(METHODS) * 64 * 500, "steps", 0.0,
              _narrow_inputs, _optimize_check(64, 500), "trace.csv"),
-    Workload("optimize-wide", "optimize", len(METHODS) * 4 * 2000, "steps", 1.0,
+    Workload("optimize-wide", "optimize", len(METHODS) * 4 * 2000, "steps", 0.75,
              _wide_inputs, _optimize_check(4, 2000), "trace.csv"),
     Workload("verify-full", "verify", len(CHECKS), "checks", 0.75,
              _verify_inputs, _verify_check, "report.json"),
-    Workload("spike-network", "spike-demo", SPIKE_TRIALS, "trials", 0.25,
+    Workload("spike-network", "spike-demo", SPIKE_TRIALS, "trials", 0.0,
              _spike_inputs, _spike_check, "spikes.csv"),
 )}
