@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,8 @@ from .optimizers import (
     GaussianNoiseConfig,
     OptimizerStepError,
     RunConfig,
-    run_replicate,
+    run_optimizer,
+    run_replicate,  # noqa: F401 -- importable from here for perfbench/layertrace.py
 )
 from .perturbation import NoiseConfig
 from .spiking import KernelParams, load_topology, run_trial, stdp_update
@@ -283,11 +283,6 @@ _OPTIMIZE_KEYS = {"methods", "loss", "dim", "iterations", "replicates", "seed",
                   "theta0", "memory", "clamp", "out"}
 
 
-def _optimize_task(task):
-    loss, config, base, replicate, stream = task
-    return run_replicate(loss, config, base, replicate, stream)
-
-
 def cmd_optimize(args) -> int:
     doc, _ = _load_config(args.config)
     _check_keys(doc, _OPTIMIZE_KEYS, "optimize config")
@@ -327,42 +322,35 @@ def cmd_optimize(args) -> int:
         beta = doc.get("beta")
         gaussian = GaussianNoiseConfig(sigma2, float(beta) if beta is not None else None)
 
-    base = RngStream(seed)
-    tasks = []
+    configs = []
     for method in methods:
         try:
-            config = RunConfig(method=method, dim=dim, iterations=iterations,
-                               schedule=schedule, strategy=strategy, noise=noise,
-                               gaussian=gaussian, theta0=theta0,
-                               memory=int(doc.get("memory", 32)),
-                               clamp=bool(doc.get("clamp", False)))
+            configs.append(RunConfig(method=method, dim=dim, iterations=iterations,
+                                     schedule=schedule, strategy=strategy, noise=noise,
+                                     gaussian=gaussian, theta0=theta0,
+                                     memory=int(doc.get("memory", 32)),
+                                     clamp=bool(doc.get("clamp", False))))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for r in range(replicates):
-            tasks.append((loss, config, base, r, stream))
 
-    header = "method,replicate,iter,loss,theta_norm"
-    lines = [header]
-    failure: OptimizerStepError | None = None
+    # each method's replicates advance together; a failure keeps the traces
+    # up to it and ends the run
+    base = RngStream(seed)
     traces = []
-    if args.parallel and args.parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            try:
-                traces = list(pool.map(_optimize_task, tasks))
-            except OptimizerStepError as exc:
-                failure = exc
-    else:
-        for task in tasks:
-            try:
-                traces.append(_optimize_task(task))
-            except OptimizerStepError as exc:
-                failure = exc
-                traces.extend(exc.partial)
-                break
+    failure: OptimizerStepError | None = None
+    for config in configs:
+        try:
+            traces += run_optimizer(loss, config, base, replicates, stream)
+        except OptimizerStepError as exc:
+            failure = exc
+            traces += exc.partial
+            break
+    lines = ["method,replicate,iter,loss,theta_norm"]
     for trace in traces:
-        for row in trace.rows:
-            lines.append(",".join([row.method, str(row.replicate), str(row.iteration),
-                                   _format_float(row.loss), _format_float(row.theta_norm)]))
+        prefix = f"{trace.method},{trace.replicate},"
+        lines += [f"{prefix}{k},{_format_float(value)},{_format_float(norm)}"
+                  for k, (value, norm) in enumerate(
+                      zip(trace.loss.tolist(), trace.theta_norm.tolist()), start=1)]
     _write_text(out, "\n".join(lines) + "\n")
     if failure is not None:
         print(f"optimize failed at {failure}", file=sys.stderr)
@@ -557,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=str, default=None, help="override the output path")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="replicate-level worker processes")
         p.set_defaults(func=func)
     return parser
 

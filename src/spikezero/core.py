@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "as_vector",
+    "row_dot",
     "hadamard",
     "exp_map",
     "LearningRateSchedule",
@@ -33,6 +34,17 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def row_dot(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` with the matching row of ``b``.
+
+    Rows broadcast, so ``b`` may be one vector shared by every row. Each
+    row goes through the same BLAS dot as the 1-D ``a[i] @ b[i]``, so a
+    batch of rows reduces bit for bit like the rows taken one at a time
+    (``einsum`` and matrix-vector products round differently).
+    """
+    return np.vecdot(a, b)
 
 
 def hadamard(a, b) -> np.ndarray:

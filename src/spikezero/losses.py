@@ -2,9 +2,10 @@
 
 Every loss exposes scalar ``evaluate`` / ``gradient`` plus vectorized
 ``evaluate_many`` / ``gradient_many`` over a batch of parameter points;
-the batch forms are what the Monte Carlo verification routines call. The
-optimizer is responsible for perturbing parameters, so losses always see
-the final evaluation point.
+the batch forms are what the Monte Carlo verification routines and the
+replicate-batched optimizer call, and they agree with the scalar forms bit
+for bit, row by row. The optimizer is responsible for perturbing
+parameters, so losses always see the final evaluation point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, row_dot
 
 __all__ = [
     "SupervisedSample",
@@ -84,7 +85,7 @@ class LeastSquaresLoss(LossFunction):
         points = np.asarray(points, dtype=np.float64)
         self._check(points)
         r = self.target - points
-        return np.einsum("ij,ij->i", r, r)
+        return row_dot(r, r)
 
     def gradient_many(self, points, sample=None) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -105,7 +106,7 @@ class LinearModelLoss(LossFunction):
                 f"dimension mismatch: params has {params.shape[-1]}, "
                 f"covariates have {x.shape[0]}"
             )
-        return sample.y - params @ x, x
+        return sample.y - row_dot(params, x), x
 
     def evaluate(self, params, sample=None) -> float:
         r, _ = self._residual(np.asarray(params, dtype=np.float64), sample)

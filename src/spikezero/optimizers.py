@@ -16,17 +16,23 @@ strictly positive weights w = e^theta:
 
 with the loss evaluated at w_k * e^{U_k}. Its log agrees with the additive
 form to second order in the step size.
+
+Every step function advances one iterate of shape (d,) or a batch of R
+independent replicate iterates of shape (R, d) in one call, and
+run_optimizer runs all replicates of a method as one such batch. Row i of
+a batch moves bit for bit as the single iterate with row i's noise would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LearningRateSchedule, as_vector
+from .core import LearningRateSchedule, as_vector, row_dot
 from .losses import DataStream, LossFunction, SupervisedSample, finite_diff_gradient, generate_stream
 from .perturbation import NoiseConfig
 
@@ -54,7 +60,12 @@ __all__ = [
 
 
 class PositivityError(RuntimeError):
-    """A multiplicative update would drive a weight to zero or below."""
+    """A multiplicative update would drive a weight to zero or below.
+
+    ``row`` is the first failing row of a batched state, None for one iterate.
+    """
+
+    row: int | None = None
 
 
 class OptimizerStepError(RuntimeError):
@@ -114,32 +125,52 @@ class AnticipatedLossStrategy:
                 raise ValueError(f"{self.kind} strategy requires decay > 0")
 
     def discount_weights(self, available: int) -> np.ndarray:
-        """Normalized weights for lags 1..min(available, memory)."""
-        m = min(available, self.memory)
-        lags = np.arange(1, m + 1, dtype=np.float64)
-        if self.kind == "exponential":
-            raw = np.exp(-self.decay * lags)
-        else:
-            raw = lags ** (-self.decay)
-        return raw / raw.sum()
+        """Normalized weights for lags 1..min(available, memory), read-only."""
+        return _discount_weights(self.kind, self.decay, min(available, self.memory))
 
 
-def anticipated_loss(history, strategy: AnticipatedLossStrategy) -> float:
-    """Baseline value for the given realized-loss history (oldest first)."""
+# every step of a run asks for the same few weight vectors
+@functools.lru_cache(maxsize=256)
+def _discount_weights(kind: str, decay: float, m: int) -> np.ndarray:
+    lags = np.arange(1, m + 1, dtype=np.float64)
+    if kind == "exponential":
+        raw = np.exp(-decay * lags)
+    else:
+        raw = lags ** (-decay)
+    weights = raw / raw.sum()
+    weights.flags.writeable = False
+    return weights
+
+
+def anticipated_loss(history, strategy: AnticipatedLossStrategy):
+    """Baseline value for the given realized-loss history (oldest first).
+
+    A history of per-replicate arrays (R,) gives one baseline per replicate.
+    """
     if strategy.kind == "zero":
         return 0.0
     if len(history) == 0:
         raise ValueError(f"strategy {strategy.kind!r} requires a nonempty loss history")
     if strategy.kind == "previous":
-        return float(history[-1])
+        last = history[-1]
+        return float(last) if np.ndim(last) == 0 else last
     weights = strategy.discount_weights(len(history))
     recent_first = [history[-(l + 1)] for l in range(weights.shape[0])]
-    return float(weights @ np.asarray(recent_first))
+    if np.ndim(recent_first[0]) == 0:
+        return float(weights @ np.asarray(recent_first))
+    # one contiguous row of past losses per replicate
+    return row_dot(np.array(recent_first).T.copy(), weights)
 
 
 @dataclass
 class OptimizerState:
-    """Mutable iterate state; step functions update it in place and return it."""
+    """Mutable iterate state; step functions update it in place and return it.
+
+    ``theta`` is one iterate of shape (d,) or a batch of R replicate
+    iterates of shape (R, d). For a batch, each loss_history entry holds one
+    realized loss per row, and noise drawn from ``rng`` fills the rows in
+    order.
+    """
 
     theta: np.ndarray
     theta_prev: np.ndarray
@@ -158,25 +189,66 @@ class MultiplicativeState:
     rng: np.random.Generator | None = None
 
 
+def _as_iterate(values, name: str) -> np.ndarray:
+    """A finite float64 copy of one iterate (d,) or a batch of them (R, d)."""
+    v = np.array(values, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"{name} must have shape (d,) or (R, d), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
+def _rng(state) -> np.random.Generator:
+    if state.rng is None:
+        raise ValueError("no rng to draw noise from: set state.rng or pass the noise")
+    return state.rng
+
+
+def _evaluate(loss: LossFunction, points: np.ndarray, sample):
+    """The loss at one point (d,), or per row of a batch (R, d)."""
+    if points.ndim == 1:
+        return loss.evaluate(points, sample)
+    return loss.evaluate_many(points, sample)
+
+
+def _gradient(loss: LossFunction, theta: np.ndarray, sample) -> np.ndarray:
+    """Gradient at one point or per row, by central differences if the loss has none."""
+    try:
+        if theta.ndim == 1:
+            return loss.gradient(theta, sample)
+        return loss.gradient_many(theta, sample)
+    except NotImplementedError:
+        rows = [finite_diff_gradient(loss, row, sample=sample) for row in np.atleast_2d(theta)]
+        return np.stack(rows).reshape(theta.shape)
+
+
+def _per_row(values, points: np.ndarray):
+    """Line up one value per replicate against a batch's rows; scalars pass."""
+    return values[:, None] if points.ndim == 2 else values
+
+
 def init_state(theta0, rng: np.random.Generator | None = None,
                loss: LossFunction | None = None,
                noise_cfg: NoiseConfig | None = None,
                sample: SupervisedSample | None = None,
-               memory: int = 32) -> OptimizerState:
-    """Build a start state with theta_prev = theta0.
+               memory: int = 32,
+               noise: np.ndarray | None = None) -> OptimizerState:
+    """Build a start state, one iterate (d,) or a batch (R, d), with theta_prev = theta0.
 
     When a loss and noise config are given, the realized-loss history is
-    seeded with one evaluation at theta0 + U for a fresh uniform offset U,
-    so the 'previous' baseline is defined from the first step.
+    seeded with one evaluation at theta0 + U for a fresh uniform offset U
+    (or the forced ``noise``), so the 'previous' baseline is defined from
+    the first step.
     """
-    theta0 = as_vector(theta0, "theta0").copy()
+    theta0 = _as_iterate(theta0, "theta0")
     state = OptimizerState(theta=theta0, theta_prev=theta0.copy(),
                            loss_history=deque(maxlen=memory), rng=rng)
     if loss is not None and noise_cfg is not None:
-        if rng is None:
-            raise ValueError("seeding the loss history requires an rng")
-        u = rng.uniform(-noise_cfg.half_interval, noise_cfg.half_interval, size=theta0.shape[0])
-        state.loss_history.append(loss.evaluate(theta0 + u, sample))
+        if noise is None:
+            a = noise_cfg.half_interval
+            noise = _rng(state).uniform(-a, a, size=theta0.shape)
+        state.loss_history.append(_evaluate(loss, theta0 + noise, sample))
     return state
 
 
@@ -184,17 +256,18 @@ def init_multiplicative_state(weights0, rng: np.random.Generator | None = None,
                               loss: LossFunction | None = None,
                               noise_cfg: NoiseConfig | None = None,
                               sample: SupervisedSample | None = None,
-                              memory: int = 32) -> MultiplicativeState:
+                              memory: int = 32,
+                              noise: np.ndarray | None = None) -> MultiplicativeState:
     """Weight-space analogue of init_state; history seeded at w0 * e^U."""
-    weights0 = as_vector(weights0, "weights0").copy()
+    weights0 = _as_iterate(weights0, "weights0")
     if np.any(weights0 <= 0):
         raise ValueError("weights must be strictly positive")
     state = MultiplicativeState(weights=weights0, loss_history=deque(maxlen=memory), rng=rng)
     if loss is not None and noise_cfg is not None:
-        if rng is None:
-            raise ValueError("seeding the loss history requires an rng")
-        u = rng.uniform(-noise_cfg.half_interval, noise_cfg.half_interval, size=weights0.shape[0])
-        state.loss_history.append(loss.evaluate(weights0 * np.exp(u), sample))
+        if noise is None:
+            a = noise_cfg.half_interval
+            noise = _rng(state).uniform(-a, a, size=weights0.shape)
+        state.loss_history.append(_evaluate(loss, weights0 * np.exp(noise), sample))
     return state
 
 
@@ -203,10 +276,7 @@ def gd_step(state: OptimizerState, loss: LossFunction,
             sample: SupervisedSample | None = None) -> OptimizerState:
     """Plain gradient descent, falling back to central differences."""
     k = state.iteration + 1
-    try:
-        grad = loss.gradient(state.theta, sample)
-    except NotImplementedError:
-        grad = finite_diff_gradient(loss, state.theta, sample=sample)
+    grad = _gradient(loss, state.theta, sample)
     state.theta_prev = state.theta
     state.theta = state.theta - schedule.rate(k) * grad
     state.iteration = k
@@ -228,12 +298,12 @@ def one_point_step(state: OptimizerState, loss: LossFunction,
     """
     k = state.iteration + 1
     if noise is None:
-        xi = state.rng.normal(0.0, math.sqrt(gauss.sigma2), size=state.theta.shape[0])
+        xi = _rng(state).normal(0.0, math.sqrt(gauss.sigma2), size=state.theta.shape)
     else:
         xi = np.asarray(noise, dtype=np.float64)
-    perturbed = loss.evaluate(state.theta + xi, sample)
+    perturbed = _evaluate(loss, state.theta + xi, sample)
     state.theta_prev = state.theta
-    state.theta = state.theta - schedule.rate(k) * gauss.beta * perturbed * xi
+    state.theta = state.theta - _per_row(schedule.rate(k) * gauss.beta * perturbed, xi) * xi
     state.iteration = k
     return state
 
@@ -253,14 +323,14 @@ def stdp_zo_step(state: OptimizerState, loss: LossFunction,
     k = state.iteration + 1
     a = noise_cfg.half_interval
     if noise is None:
-        u = state.rng.uniform(-a, a, size=state.theta.shape[0])
+        u = _rng(state).uniform(-a, a, size=state.theta.shape)
     else:
         u = np.asarray(noise, dtype=np.float64)
     baseline = anticipated_loss(state.loss_history, strategy)
-    realized = loss.evaluate(state.theta + u, sample)
+    realized = _evaluate(loss, state.theta + u, sample)
     delta = realized - baseline
     state.theta_prev = state.theta
-    state.theta = state.theta + schedule.rate(k) * delta * (np.exp(-u) - np.exp(u))
+    state.theta = state.theta + _per_row(schedule.rate(k) * delta, u) * (np.exp(-u) - np.exp(u))
     state.loss_history.append(realized)
     state.iteration = k
     return state
@@ -280,30 +350,40 @@ def stdp_multiplicative_step(state: MultiplicativeState, loss: LossFunction,
     <= 0 would break positivity; by default that raises PositivityError
     so misconfigured step sizes are not silently masked, and with
     ``clamp=True`` the multiplier is floored at ``clamp_floor`` instead.
+    For a batch the error names the first failing row, and the state is
+    left as it was.
     """
     k = state.iteration + 1
     a = noise_cfg.half_interval
     if noise is None:
-        u = state.rng.uniform(-a, a, size=state.weights.shape[0])
+        u = _rng(state).uniform(-a, a, size=state.weights.shape)
     else:
         u = np.asarray(noise, dtype=np.float64)
     baseline = anticipated_loss(state.loss_history, strategy)
-    realized = loss.evaluate(state.weights * np.exp(u), sample)
+    realized = _evaluate(loss, state.weights * np.exp(u), sample)
     delta = realized - baseline
-    multiplier = 1.0 + schedule.rate(k) * delta * (np.exp(-u) - np.exp(u))
+    multiplier = 1.0 + _per_row(schedule.rate(k) * delta, u) * (np.exp(-u) - np.exp(u))
     bad = multiplier <= 0.0
     if np.any(bad):
         if not clamp:
-            idx = int(np.argmax(bad))
-            raise PositivityError(
-                f"update multiplier {multiplier[idx]:g} at index {idx} "
-                "would violate weight positivity"
-            )
+            raise _positivity_error(multiplier, bad)
         multiplier = np.maximum(multiplier, clamp_floor)
     state.weights = state.weights * multiplier
     state.loss_history.append(realized)
     state.iteration = k
     return state
+
+
+def _positivity_error(multiplier: np.ndarray, bad: np.ndarray) -> PositivityError:
+    row = None
+    if multiplier.ndim == 2:
+        row = int(np.argmax(bad.any(axis=1)))
+        multiplier, bad = multiplier[row], bad[row]
+    idx = int(np.argmax(bad))
+    error = PositivityError(f"update multiplier {multiplier[idx]:g} at index {idx} "
+                            "would violate weight positivity")
+    error.row = row
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +409,6 @@ class RunConfig:
     gaussian: GaussianNoiseConfig | None = None
     theta0: np.ndarray | None = None
     memory: int = 32
-    record_theta: bool = False
     clamp: bool = False
 
     def __post_init__(self):
@@ -347,6 +426,12 @@ class RunConfig:
             theta0 = as_vector(self.theta0, "theta0")
             if theta0.shape[0] != self.dim:
                 raise ValueError("theta0 length does not match dim")
+            if self.method == "stdp-mult":
+                with np.errstate(over="ignore"):
+                    weights0 = np.exp(theta0)
+                if not np.all(np.isfinite(weights0) & (weights0 > 0)):
+                    raise ValueError("stdp-mult needs theta0 whose weights exp(theta0) "
+                                     "are finite and positive")
             object.__setattr__(self, "theta0", theta0)
 
 
@@ -357,109 +442,200 @@ class TraceRow:
     iteration: int
     loss: float
     theta_norm: float
-    theta: np.ndarray | None = None
 
 
 @dataclass
 class ReplicateTrace:
-    """Per-replicate trajectory with its clean starting point."""
+    """Per-replicate trajectory with its clean starting point.
+
+    ``loss`` and ``theta_norm`` hold one value per recorded iteration
+    1, 2, ...; ``rows`` spells them out as TraceRows.
+    """
 
     method: str
     replicate: int
     initial_loss: float
     initial_norm: float
-    rows: list
+    loss: np.ndarray
+    theta_norm: np.ndarray
     diverged_at: int | None = None
 
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.rows])
+    @property
+    def rows(self) -> list[TraceRow]:
+        return [TraceRow(self.method, self.replicate, k, loss, norm)
+                for k, (loss, norm) in enumerate(
+                    zip(self.loss.tolist(), self.theta_norm.tolist()), start=1)]
 
 
-def _record(value: float) -> float:
+def _finite_or_inf(values: np.ndarray) -> np.ndarray:
     # non-finite iterates have left the finite regime; report as +inf
-    v = float(value)
-    return v if math.isfinite(v) else math.inf
+    return np.where(np.isfinite(values), values, np.inf)
 
 
-def run_replicate(loss, config, base, replicate: int,
-                  stream: DataStream | None = None) -> ReplicateTrace:
-    """Run one replicate of one method; see run_optimizer for the contract."""
-    n = config.iterations
-    gen_noise = base.substream(_SUB_NOISE, _METHOD_IDS[config.method], replicate).generator()
+# noise drawn ahead for one batch, in float64 values
+_NOISE_BLOCK_VALUES = 1 << 16
 
-    if config.theta0 is not None:
-        theta0 = config.theta0.copy()
+
+class _NoiseRows:
+    """Per-replicate noise rows, each replicate from its own generator.
+
+    Every generator draws a block of iterations at once. Draws are
+    sequential, so row k of a block is what the replicate's k-th call of
+    one row would have drawn.
+    """
+
+    def __init__(self, gens, draw, dim: int, iterations: int):
+        self.gens, self.draw, self.dim = gens, draw, dim
+        self.block = max(1, min(iterations, _NOISE_BLOCK_VALUES // (len(gens) * dim)))
+        self.rows = np.empty((0, len(gens), dim))
+        self.taken = 0
+
+    def take(self) -> np.ndarray:
+        """The next (R, d) noise rows."""
+        if self.taken == self.rows.shape[0]:
+            self.rows = np.stack([self.draw(g, (self.block, self.dim)) for g in self.gens],
+                                 axis=1)
+            self.taken = 0
+        self.taken += 1
+        return self.rows[self.taken - 1]
+
+    def keep(self, rows: np.ndarray):
+        self.gens = [self.gens[i] for i in rows]
+        self.rows = self.rows[:, rows]
+
+
+def _keep_rows(state, rows: np.ndarray):
+    """Drop every row of a batched state but ``rows``."""
+    if isinstance(state, MultiplicativeState):
+        state.weights = state.weights[rows]
     else:
-        theta0 = base.substream(_SUB_INIT, replicate).generator().standard_normal(config.dim)
+        state.theta = state.theta[rows]
+        state.theta_prev = state.theta_prev[rows]
+    state.loss_history = deque((h[rows] for h in state.loss_history),
+                               maxlen=state.loss_history.maxlen)
 
+
+def _step(config: RunConfig, state, loss, sample, noise):
+    if config.method == "gd":
+        gd_step(state, loss, config.schedule, sample)
+    elif config.method == "one-point":
+        one_point_step(state, loss, config.schedule, config.gaussian, sample, noise=noise)
+    elif config.method == "stdp-zo":
+        stdp_zo_step(state, loss, config.schedule, config.noise, config.strategy, sample,
+                     noise=noise)
+    else:
+        stdp_multiplicative_step(state, loss, config.schedule, config.noise, config.strategy,
+                                 sample, noise=noise, clamp=config.clamp)
+
+
+def _run_batch(loss, config: RunConfig, base, replicates: list,
+               stream: DataStream | None) -> list[ReplicateTrace]:
+    """Advance the given replicates of one method together as one (R, d) batch.
+
+    Each replicate keeps its own substreams, so its trace is the one it
+    would have run alone. A data stream belongs to one replicate, so a batch
+    with a stream holds one replicate. A replicate whose iterate turns
+    non-finite leaves the batch with its rows padded. If a step fails, the
+    lowest failing replicate decides the outcome, as if the replicates had
+    run one after another: the ones before it run to the end and the ones
+    after it are dropped.
+    """
+    n, dim, method = config.iterations, config.dim, config.method
+    gens = [base.substream(_SUB_NOISE, _METHOD_IDS[method], r).generator() for r in replicates]
+    if config.theta0 is not None:
+        theta0 = np.tile(config.theta0, (len(replicates), 1))
+    else:
+        theta0 = np.stack([base.substream(_SUB_INIT, r).generator().standard_normal(dim)
+                           for r in replicates])
     if stream is not None:
-        gen_data = base.substream(_SUB_DATA, replicate).generator()
-        samples = generate_stream(stream, n + 1, gen_data)
+        samples = generate_stream(stream, n + 1,
+                                  base.substream(_SUB_DATA, replicates[0]).generator())
     else:
         samples = [None] * (n + 1)
 
-    multiplicative = config.method == "stdp-mult"
-    if multiplicative:
-        weights0 = np.exp(theta0)
-        state = init_multiplicative_state(weights0, rng=gen_noise, loss=loss,
-                                          noise_cfg=config.noise, sample=samples[0],
-                                          memory=config.memory)
-        initial_point = weights0
-    else:
-        seed_history = config.method == "stdp-zo"
-        state = init_state(theta0, rng=gen_noise,
-                           loss=loss if seed_history else None,
-                           noise_cfg=config.noise if seed_history else None,
-                           sample=samples[0], memory=config.memory)
-        initial_point = theta0
+    noise = None
+    if method == "one-point":
+        sd = math.sqrt(config.gaussian.sigma2)
+        noise = _NoiseRows(gens, lambda g, shape: g.normal(0.0, sd, size=shape), dim, n)
+    elif method != "gd":
+        a = config.noise.half_interval
+        # one more row: the first seeds the loss history
+        noise = _NoiseRows(gens, lambda g, shape: g.uniform(-a, a, size=shape), dim, n + 1)
 
-    trace = ReplicateTrace(
-        method=config.method, replicate=replicate,
-        initial_loss=_record(loss.evaluate(initial_point, samples[0])),
-        initial_norm=_record(np.linalg.norm(theta0)),
-        rows=[],
-    )
+    multiplicative = method == "stdp-mult"
+    losses = np.full((len(replicates), n), np.inf)
+    norms = np.full((len(replicates), n), np.inf)
+    recorded = [n] * len(replicates)
+    diverged_at = [None] * len(replicates)
+    failure = None          # (batch row, iteration, error) of the lowest failing replicate
+    live = np.arange(len(replicates))
+
+    def keep(rows):
+        nonlocal live
+        live = live[rows]
+        _keep_rows(state, rows)
+        if noise is not None:
+            noise.keep(rows)
 
     # divergence to inf is an expected outcome here, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _iterate(loss, config, replicate, state, samples, trace)
-    return trace
+        if multiplicative:
+            start = np.exp(theta0)
+            state = init_multiplicative_state(start, loss=loss, noise_cfg=config.noise,
+                                              sample=samples[0], memory=config.memory,
+                                              noise=noise.take())
+        else:
+            start = theta0
+            seeded = method == "stdp-zo"
+            state = init_state(theta0, loss=loss if seeded else None, noise_cfg=config.noise,
+                               sample=samples[0], memory=config.memory,
+                               noise=noise.take() if seeded else None)
+        initial_loss = _finite_or_inf(loss.evaluate_many(start, samples[0]))
+        initial_norm = _finite_or_inf(np.sqrt(row_dot(theta0, theta0)))
+
+        for k in range(1, n + 1):
+            if not live.size:
+                break
+            u = noise.take() if noise is not None else None
+            while live.size:
+                try:
+                    _step(config, state, loss, samples[k], u)
+                    break
+                except PositivityError as exc:
+                    failure = (live[exc.row], k, exc)
+                    recorded[live[exc.row]] = k - 1
+                    u = u[:exc.row]
+                    keep(np.arange(exc.row))
+
+            point = state.weights if multiplicative else state.theta
+            log_point = np.log(point) if multiplicative else point
+            squares = row_dot(log_point, log_point)
+            # a non-finite entry leaves its row's sum of squares non-finite
+            if not np.isfinite(squares).all():
+                finite = np.isfinite(point).all(axis=1)
+                if not finite.all():
+                    for i in live[~finite]:
+                        diverged_at[i] = k
+                    keep(np.flatnonzero(finite))
+                    point, squares = point[finite], squares[finite]
+            losses[live, k - 1] = loss.evaluate_many(point, samples[k])
+            norms[live, k - 1] = np.sqrt(squares)
+
+    losses, norms = _finite_or_inf(losses), _finite_or_inf(norms)
+    traces = [ReplicateTrace(method, r, float(initial_loss[i]), float(initial_norm[i]),
+                             losses[i, :recorded[i]], norms[i, :recorded[i]], diverged_at[i])
+              for i, r in enumerate(replicates)]
+    if failure is not None:
+        i, k, exc = failure
+        raise OptimizerStepError(f"iteration {k}: {exc}", iteration=k,
+                                 partial=traces[:i + 1]) from exc
+    return traces
 
 
-def _iterate(loss, config, replicate, state, samples, trace):
-    n = config.iterations
-    multiplicative = config.method == "stdp-mult"
-    for k in range(1, n + 1):
-        sample = samples[k]
-        try:
-            if config.method == "gd":
-                gd_step(state, loss, config.schedule, sample)
-            elif config.method == "one-point":
-                one_point_step(state, loss, config.schedule, config.gaussian, sample)
-            elif config.method == "stdp-zo":
-                stdp_zo_step(state, loss, config.schedule, config.noise,
-                             config.strategy, sample)
-            else:
-                stdp_multiplicative_step(state, loss, config.schedule, config.noise,
-                                         config.strategy, sample, clamp=config.clamp)
-        except PositivityError as exc:
-            raise OptimizerStepError(f"iteration {k}: {exc}", iteration=k,
-                                     partial=[trace]) from exc
-
-        point = state.weights if multiplicative else state.theta
-        log_point = np.log(point) if multiplicative else point
-        if not np.all(np.isfinite(point)):
-            trace.diverged_at = k
-            for pad in range(k, n + 1):
-                trace.rows.append(TraceRow(config.method, replicate, pad,
-                                           math.inf, math.inf))
-            break
-        trace.rows.append(TraceRow(
-            config.method, replicate, k,
-            _record(loss.evaluate(point, sample)),
-            _record(np.linalg.norm(log_point)),
-            theta=log_point.copy() if config.record_theta else None,
-        ))
+def run_replicate(loss, config: RunConfig, base, replicate: int,
+                  stream: DataStream | None = None) -> ReplicateTrace:
+    """Run one replicate of one method; see run_optimizer for the contract."""
+    return _run_batch(loss, config, base, [replicate], stream)[0]
 
 
 def run_optimizer(loss: LossFunction, config: RunConfig, base,
@@ -474,9 +650,27 @@ def run_optimizer(loss: LossFunction, config: RunConfig, base,
     substream. Iterate divergence to non-finite values ends the trajectory
     and the remaining rows are recorded with infinite loss.
 
+    The replicates advance together as one batch. With a data stream they
+    run one at a time instead, so that only one replicate's samples are
+    held at once. Either way every trace is bit for bit the one the
+    replicate gives alone. A failing step raises OptimizerStepError whose
+    ``partial`` holds the traces of the replicates before the failing one
+    and the failing one's rows up to the failure.
+
     For 'stdp-mult' the trace's theta_norm column holds the norm of
     log(weights), the quantity comparable across parametrizations.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    return [run_replicate(loss, config, base, r, stream) for r in range(replicates)]
+    if stream is not None:
+        batches = [[r] for r in range(replicates)]
+    else:
+        batches = [list(range(replicates))]
+    traces = []
+    for batch in batches:
+        try:
+            traces += _run_batch(loss, config, base, batch, stream)
+        except OptimizerStepError as exc:
+            exc.partial = traces + exc.partial
+            raise
+    return traces

@@ -204,20 +204,15 @@ def test_10_optimizer_behavior(configs_dir):
                               RngStream(212))[0]
         assert trace.rows[-1].loss < 1e-10
 
-        # (ii) mean one-step displacement through the actual step function
+        # (ii) mean one-step displacement through the actual step function,
+        # one step of n replicates that all start at zero
         n, alpha = 1_000_000, 1.0
         loss = LeastSquaresLoss([1.0])
         u = RngStream(213).generator().uniform(-1.0, 1.0, size=(n, 1))
-        state = init_state([0.0])
-        total = 0.0
-        for i in range(n):
-            state.theta = np.zeros(1)
-            state.iteration = 0
-            stdp_zo_step(state, loss, LearningRateSchedule.constant(alpha),
-                         NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"),
-                         noise=u[i])
-            total += state.theta[0]
-        displacement = total / n
+        state = init_state(np.zeros((n, 1)))
+        stdp_zo_step(state, loss, LearningRateSchedule.constant(alpha),
+                     NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"), noise=u)
+        displacement = math.fsum(state.theta[:, 0]) / n
         assert abs(displacement - alpha * FOUR_OVER_E) <= 0.02 * alpha * FOUR_OVER_E
 
         # (iii) averaged run on the pinned config

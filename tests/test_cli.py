@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import warnings
 from pathlib import Path
 
 from spikezero.cli import main
@@ -133,15 +135,6 @@ def test_optimize_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_optimize_parallel_matches_serial(tmp_path):
-    cfg = optimize_config(tmp_path, replicates=3)
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(["optimize", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["optimize", "--config", cfg, "--out", str(parallel),
-                 "--parallel", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_optimize_step_error_exits_one_and_names_iteration(tmp_path, capsys):
     cfg = optimize_config(tmp_path, methods=["stdp-mult"],
                           loss={"kind": "least-squares", "target": {"fill": 50.0}},
@@ -151,6 +144,53 @@ def test_optimize_step_error_exits_one_and_names_iteration(tmp_path, capsys):
     # the partial trace file still exists with the expected header
     assert (tmp_path / "trace.csv").read_text().startswith(
         "method,replicate,iter,loss,theta_norm")
+
+
+def failing_config(tmp_path, alpha0):
+    # stdp-mult hits PositivityError; gd after it never runs
+    return optimize_config(tmp_path, methods=["stdp-mult", "gd"], dim=3, replicates=4,
+                           seed=11, schedule={"kind": "constant", "alpha0": alpha0})
+
+
+def test_optimize_step_error_output_is_pinned(tmp_path, capsys):
+    # replicate 0 fails at its second step
+    assert main(["optimize", "--config", failing_config(tmp_path, 5.0)]) == 1
+    assert capsys.readouterr().err == (
+        "optimize failed at iteration 2: update multiplier -192.6 at index 0 "
+        "would violate weight positivity\n")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"method,replicate,iter,loss,theta_norm\n"
+        b"stdp-mult,0,1,125.62967246987924,3.1903894557160295\n")
+
+
+def test_optimize_lowest_failing_replicate_is_pinned(tmp_path, capsys):
+    # replicate 3 fails at iteration 5 and replicate 2 at 34; as if run one
+    # after another, replicates 0 and 1 finish, 2 stops and 3 is dropped
+    assert main(["optimize", "--config", failing_config(tmp_path, 0.05)]) == 1
+    assert capsys.readouterr().err == (
+        "optimize failed at iteration 34: update multiplier -0.0503483 at index 2 "
+        "would violate weight positivity\n")
+    text = (tmp_path / "trace.csv").read_bytes()
+    assert len(text.splitlines()) == 1 + 40 + 40 + 33
+    assert hashlib.sha256(text).hexdigest() == (
+        "b94b9a53ef558d6e5e24de57adfc50acbfae7c2a4d4e1afaa61b404a42a42856")
+
+
+def test_optimize_huge_start_records_inf_without_warnings(tmp_path):
+    cfg = optimize_config(tmp_path, methods=["gd", "one-point", "stdp-zo"], dim=3,
+                          iterations=5, theta0={"fill": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["optimize", "--config", cfg]) == 0
+    rows = read_rows(tmp_path / "trace.csv")
+    assert len(rows) == 3 * 2 * 5
+    assert all(r["loss"] == "inf" for r in rows)
+
+
+def test_optimize_multiplicative_start_out_of_range_is_config_error(tmp_path, capsys):
+    cfg = optimize_config(tmp_path, methods=["stdp-mult"], theta0={"fill": 1e308})
+    assert main(["optimize", "--config", cfg]) == 2
+    assert "exp(theta0)" in capsys.readouterr().err
 
 
 def test_optimize_rejects_unknown_method(tmp_path, capsys):

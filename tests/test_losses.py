@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikezero.core import RngStream
 from spikezero.losses import (
@@ -150,3 +153,45 @@ class TestDataStream:
             DataStream("linear-gaussian")
         with pytest.raises(ValueError):
             DataStream("linear-gaussian", theta_star=[1.0], noise_sd=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# batch forms reduce each row exactly as the scalar forms do
+
+
+@st.composite
+def points_and_vector(draw):
+    # widths past 64 reach every unrolled tail of the BLAS dot kernel
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 80))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return (draw(arrays(np.float64, (n, d), elements=values)),
+            draw(arrays(np.float64, d, elements=values)))
+
+
+def stacked(loss, points, sample=None):
+    return np.array([loss.evaluate(p, sample) for p in points])
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_vector())
+def test_least_squares_batch_is_bit_identical(case):
+    points, target = case
+    loss = LeastSquaresLoss(target)
+    assert loss.evaluate_many(points).tobytes() == stacked(loss, points).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_vector(), st.floats(-1e3, 1e3))
+def test_linear_model_batch_is_bit_identical(case, y):
+    points, x = case
+    sample = SupervisedSample(x=x, y=y)
+    loss = LinearModelLoss()
+    assert loss.evaluate_many(points, sample).tobytes() == stacked(loss, points, sample).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_vector(), st.sampled_from([2, 4, 6]))
+def test_power_batch_is_bit_identical(case, power):
+    points, target = case
+    loss = PowerLoss(power, target=target)
+    assert loss.evaluate_many(points).tobytes() == stacked(loss, points).tobytes()

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from spikezero.core import LearningRateSchedule, RngStream
-from spikezero.losses import ConstantLoss, DataStream, LeastSquaresLoss, LinearModelLoss, LogReparamLoss
+from spikezero.losses import (
+    ConstantLoss,
+    DataStream,
+    LeastSquaresLoss,
+    LinearModelLoss,
+    LogReparamLoss,
+    LossFunction,
+)
 from spikezero.optimizers import (
     AnticipatedLossStrategy,
     GaussianNoiseConfig,
@@ -112,6 +119,25 @@ def test_init_state_seeds_history_with_perturbed_loss():
     assert state.loss_history[0] == loss.evaluate(u)
 
 
+@pytest.mark.parametrize("step", ["one-point", "stdp-zo", "stdp-mult"])
+def test_step_without_rng_or_noise_names_the_rng(step):
+    loss, schedule, noise_cfg = LeastSquaresLoss([1.0]), CONST(0.1), NoiseConfig(1.0, 1)
+    with pytest.raises(ValueError, match="rng"):
+        if step == "one-point":
+            one_point_step(make_state([0.0]), loss, schedule, GaussianNoiseConfig(1.0))
+        elif step == "stdp-zo":
+            stdp_zo_step(make_state([0.0]), loss, schedule, noise_cfg,
+                         AnticipatedLossStrategy("zero"))
+        else:
+            stdp_multiplicative_step(init_multiplicative_state([1.0]), loss, schedule,
+                                     noise_cfg, AnticipatedLossStrategy("zero"))
+
+
+def test_seeding_history_without_rng_names_the_rng():
+    with pytest.raises(ValueError, match="rng"):
+        init_state([0.0], loss=LeastSquaresLoss([1.0]), noise_cfg=NoiseConfig(1.0, 1))
+
+
 class TestGdStep:
     def test_hand_value(self):
         state = make_state([0.0])
@@ -142,6 +168,15 @@ class TestGdStep:
         state = make_state([0.0])
         gd_step(state, NoGrad([1.0]), CONST(0.25))
         assert state.theta[0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_finite_difference_fallback_on_a_batch(self):
+        class ValueOnly(LossFunction):
+            def evaluate(self, params, sample=None):
+                return float((1.0 - params[0]) ** 2)
+
+        state = make_state(np.zeros((3, 1)))
+        gd_step(state, ValueOnly(), CONST(0.25))
+        np.testing.assert_allclose(state.theta, np.full((3, 1), 0.5), atol=1e-9)
 
 
 class TestOnePointStep:
@@ -377,6 +412,12 @@ class TestRunOptimizer:
                            schedule=CONST(10.0), noise=NoiseConfig(1.0, 2))
         with pytest.raises(OptimizerStepError, match="iteration"):
             run_optimizer(loss, config, RngStream(37))
+
+    def test_multiplicative_start_must_have_finite_positive_weights(self):
+        for fill in (1e308, 800.0, -800.0):
+            with pytest.raises(ValueError, match="exp\\(theta0\\)"):
+                RunConfig(method="stdp-mult", dim=2, iterations=1, schedule=CONST(0.1),
+                          noise=NoiseConfig(1.0, 2), theta0=np.full(2, fill))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="noise"):
