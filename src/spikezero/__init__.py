@@ -7,7 +7,7 @@ simulator, and a verification suite that checks the scheme's expectation
 identities against closed forms and quadrature.
 """
 
-from .core import LearningRateSchedule, RngStream, exp_map, hadamard
+from .core import LearningRateSchedule, RngStream
 from .losses import (
     ConstantLoss,
     DataStream,
@@ -22,20 +22,18 @@ from .losses import (
 from .optimizers import (
     AnticipatedLossStrategy,
     GaussianNoiseConfig,
-    MultiplicativeState,
     OptimizerState,
     PositivityError,
     RunConfig,
     anticipated_loss,
     gd_step,
-    init_multiplicative_state,
     init_state,
     one_point_step,
     run_optimizer,
     stdp_multiplicative_step,
     stdp_zo_step,
 )
-from .perturbation import NoiseConfig, PerturbationDensity, normalizer_c, sample_uniform
+from .perturbation import NoiseConfig, PerturbationDensity, normalizer_c
 from .spiking import (
     KernelParams,
     Topology,

@@ -75,14 +75,29 @@ def _check_keys(doc: dict, allowed, where: str):
             raise ConfigError(f"unknown field {key!r} in {where}")
 
 
+def _number(value, field: str, kind=float):
+    """``kind(value)``; a value that does not convert is a ConfigError naming ``field``."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
+
+
+def _seed(args, doc: dict, default: int) -> int:
+    seed = _number(args.seed if args.seed is not None else doc.get("seed", default), "seed", int)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
+
+
 def _vector(spec, dim: int, what: str) -> np.ndarray:
     """A config vector: either an explicit list or {"fill": value}."""
     if isinstance(spec, dict):
         _check_keys(spec, {"fill"}, what)
         if "fill" not in spec:
             raise ConfigError(f"{what} needs 'fill' or an explicit list")
-        return np.full(dim, float(spec["fill"]))
-    arr = np.asarray(spec, dtype=np.float64)
+        return np.full(dim, _number(spec["fill"], f"{what}.fill"))
+    arr = _number(spec, what, lambda v: np.asarray(v, dtype=np.float64))
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise ConfigError(f"{what} must be a list of length {dim}")
     return arr
@@ -92,7 +107,7 @@ def _positive(doc: dict, key: str, where: str, default=None) -> float:
     value = doc.get(key, default)
     if value is None:
         raise ConfigError(f"missing field {key!r} in {where}")
-    value = float(value)
+    value = _number(value, key)
     if not value > 0:
         raise ConfigError(f"{key} must be positive")
     return value
@@ -105,12 +120,13 @@ def _build_schedule(doc) -> LearningRateSchedule:
     kind = doc.get("kind", "constant")
     if "alpha0" not in doc:
         raise ConfigError("missing field 'alpha0' in schedule")
-    alpha0 = float(doc["alpha0"])
+    alpha0 = _number(doc["alpha0"], "schedule.alpha0")
     try:
         if kind == "constant":
             return LearningRateSchedule.constant(alpha0)
         if kind == "power":
-            return LearningRateSchedule.power_decay(alpha0, float(doc.get("power", 1.0)))
+            return LearningRateSchedule.power_decay(
+                alpha0, _number(doc.get("power", 1.0), "schedule.power"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -122,11 +138,12 @@ def _build_strategy(doc) -> AnticipatedLossStrategy:
     if not isinstance(doc, dict):
         raise ConfigError("strategy must be an object")
     _check_keys(doc, {"kind", "memory", "decay"}, "strategy")
+    decay = doc.get("decay")
     try:
         return AnticipatedLossStrategy(
             kind=doc.get("kind", "previous"),
-            memory=int(doc.get("memory", 32)),
-            decay=doc.get("decay"),
+            memory=_number(doc.get("memory", 32), "strategy.memory", int),
+            decay=None if decay is None else _number(decay, "strategy.decay"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -143,11 +160,11 @@ def _build_loss(doc, dim: int):
     if kind == "power":
         _check_keys(doc, {"kind", "power", "target"}, "loss")
         target = _vector(doc.get("target", {"fill": 0.0}), dim, "loss.target")
-        return PowerLoss(int(doc.get("power", 4)), target=target), None
+        return PowerLoss(_number(doc.get("power", 4), "loss.power", int), target=target), None
     if kind == "linear-gaussian":
         _check_keys(doc, {"kind", "theta_star", "noise_sd"}, "loss")
         theta_star = _vector(doc.get("theta_star", {"fill": 1.0}), dim, "loss.theta_star")
-        noise_sd = float(doc.get("noise_sd", 0.0))
+        noise_sd = _number(doc.get("noise_sd", 0.0), "loss.noise_sd")
         if noise_sd < 0:
             raise ConfigError("noise_sd must be nonnegative")
         stream = DataStream("linear-gaussian", theta_star=theta_star, noise_sd=noise_sd)
@@ -246,9 +263,9 @@ def _run_check(name: str, seed: int, half_interval: float, n: int | None):
 def cmd_verify(args) -> int:
     doc, _ = _load_config(args.config, default=_VERIFY_DEFAULTS)
     _check_keys(doc, set(_VERIFY_DEFAULTS), "verify config")
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 1))
+    seed = _seed(args, doc, 1)
     out = Path(args.out if args.out is not None else doc.get("out", "verify_report.json"))
-    half_interval = float(doc.get("half_interval", 1.0))
+    half_interval = _number(doc.get("half_interval", 1.0), "half_interval")
     if not half_interval > 0:
         raise ConfigError("half_interval must be positive")
     checks = doc.get("checks", list(_CHECK_NAMES))
@@ -261,11 +278,12 @@ def cmd_verify(args) -> int:
     for name in samples:
         if name not in _CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r} in field 'samples'")
+    samples = {name: _number(n, f"samples.{name}", int)
+               for name, n in samples.items() if n is not None}
 
     reports = []
     for name in checks:
-        n = samples.get(name)
-        reports.append(_run_check(name, seed, half_interval, int(n) if n is not None else None))
+        reports.append(_run_check(name, seed, half_interval, samples.get(name)))
     payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
     _write_text(out, payload)
     all_pass = all(r.passed for r in reports)
@@ -280,26 +298,28 @@ def cmd_verify(args) -> int:
 
 _OPTIMIZE_KEYS = {"methods", "loss", "dim", "iterations", "replicates", "seed",
                   "schedule", "strategy", "half_interval", "sigma2", "beta",
-                  "theta0", "memory", "clamp", "out"}
+                  "theta0", "clamp", "out"}
 
 
 def cmd_optimize(args) -> int:
     doc, _ = _load_config(args.config)
     _check_keys(doc, _OPTIMIZE_KEYS, "optimize config")
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    seed = _seed(args, doc, 0)
     out = Path(args.out if args.out is not None else doc.get("out", "trace.csv"))
-    dim = int(doc.get("dim", 0))
+    dim = _number(doc.get("dim", 0), "dim", int)
     if dim < 1:
         raise ConfigError("dim must be at least 1")
-    iterations = int(doc.get("iterations", 0))
+    iterations = _number(doc.get("iterations", 0), "iterations", int)
     if iterations < 0:
         raise ConfigError("iterations must be nonnegative")
-    replicates = int(doc.get("replicates", 1))
+    replicates = _number(doc.get("replicates", 1), "replicates", int)
     if replicates < 1:
         raise ConfigError("replicates must be at least 1")
     methods = doc.get("methods")
     if not methods:
         raise ConfigError("missing field 'methods' in optimize config")
+    if not isinstance(methods, list):
+        raise ConfigError("field 'methods' must be a list of method names")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in field 'methods'")
@@ -312,15 +332,15 @@ def cmd_optimize(args) -> int:
 
     noise = None
     if any(m in ("stdp-zo", "stdp-mult") for m in methods):
-        half = doc.get("half_interval", 1.0)
-        if not float(half) > 0:
+        half = _number(doc.get("half_interval", 1.0), "half_interval")
+        if not half > 0:
             raise ConfigError("half_interval must be positive")
-        noise = NoiseConfig(float(half), dim)
+        noise = NoiseConfig(half, dim)
     gaussian = None
     if "one-point" in methods:
         sigma2 = _positive(doc, "sigma2", "optimize config", default=1.0)
         beta = doc.get("beta")
-        gaussian = GaussianNoiseConfig(sigma2, float(beta) if beta is not None else None)
+        gaussian = GaussianNoiseConfig(sigma2, None if beta is None else _number(beta, "beta"))
 
     configs = []
     for method in methods:
@@ -328,7 +348,6 @@ def cmd_optimize(args) -> int:
             configs.append(RunConfig(method=method, dim=dim, iterations=iterations,
                                      schedule=schedule, strategy=strategy, noise=noise,
                                      gaussian=gaussian, theta0=theta0,
-                                     memory=int(doc.get("memory", 32)),
                                      clamp=bool(doc.get("clamp", False))))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -368,16 +387,17 @@ _SWEEP_KEYS = {"dims", "sigma2", "samples_per_dim", "delta", "seed", "out"}
 def cmd_sweep(args) -> int:
     doc, _ = _load_config(args.config)
     _check_keys(doc, _SWEEP_KEYS, "sweep config")
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    seed = _seed(args, doc, 0)
     out = Path(args.out if args.out is not None else doc.get("out", "sweep.csv"))
     dims = doc.get("dims")
-    if not dims or not all(int(d) >= 1 for d in dims):
+    if (not dims or not isinstance(dims, list)
+            or not all(_number(d, "dims", int) >= 1 for d in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
     sigma2 = _positive(doc, "sigma2", "sweep config", default=1.0)
-    n = int(doc.get("samples_per_dim", 100_000))
+    n = _number(doc.get("samples_per_dim", 100_000), "samples_per_dim", int)
     if n < 2:
         raise ConfigError("samples_per_dim must be at least 2")
-    delta = float(doc.get("delta", 1.0))
+    delta = _number(doc.get("delta", 1.0), "delta")
 
     rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, RngStream(seed), delta)
     lines = ["d,quantity,value,se"]
@@ -407,7 +427,7 @@ _SPIKE_KEYS = {"topology", "trials", "seed", "params", "weights", "input_vector"
 def cmd_spike_demo(args) -> int:
     doc, config_dir = _load_config(args.config)
     _check_keys(doc, _SPIKE_KEYS, "spike-demo config")
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    seed = _seed(args, doc, 0)
     out = Path(args.out if args.out is not None else doc.get("out", "spikes.csv"))
     topology_path = doc.get("topology")
     if topology_path is None:
@@ -422,17 +442,17 @@ def cmd_spike_demo(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trials = int(doc.get("trials", 1))
+    trials = _number(doc.get("trials", 1), "trials", int)
     if trials < 0:
         raise ConfigError("trials must be nonnegative")
     pdoc = doc.get("params", {})
     _check_keys(pdoc, {"decay", "amplitude", "threshold", "half_interval"}, "params")
     try:
         params = KernelParams(
-            decay=float(pdoc.get("decay", 1.0)),
-            amplitude=float(pdoc.get("amplitude", 1.0)),
-            threshold=float(pdoc.get("threshold", 1.0)),
-            half_interval=float(pdoc.get("half_interval", 1.0)),
+            decay=_number(pdoc.get("decay", 1.0), "params.decay"),
+            amplitude=_number(pdoc.get("amplitude", 1.0), "params.amplitude"),
+            threshold=_number(pdoc.get("threshold", 1.0), "params.threshold"),
+            half_interval=_number(pdoc.get("half_interval", 1.0), "params.half_interval"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -445,19 +465,21 @@ def cmd_spike_demo(args) -> int:
 
     input_vec = _vector(doc.get("input_vector", {"fill": 0.0}), len(topology.inputs),
                         "input_vector")
-    scale = float(doc.get("input_scale", 1.0))
-    offset = float(doc.get("input_offset", 0.0))
+    scale = _number(doc.get("input_scale", 1.0), "input_scale")
+    offset = _number(doc.get("input_offset", 0.0), "input_offset")
     input_times = {nid: offset + scale * float(input_vec[i])
                    for i, nid in enumerate(topology.inputs)}
 
     rdoc = doc.get("readout", {})
     _check_keys(rdoc, {"scale", "offset", "sentinel"}, "readout")
-    readout_scale = float(rdoc.get("scale", 1.0))
-    readout_offset = float(rdoc.get("offset", 0.0))
-    sentinel = float(rdoc.get("sentinel", 1e6))
+    readout_scale = _number(rdoc.get("scale", 1.0), "readout.scale")
+    readout_offset = _number(rdoc.get("offset", 0.0), "readout.offset")
+    sentinel = _number(rdoc.get("sentinel", 1e6), "readout.sentinel")
 
     reward_delta = doc.get("reward_delta")
-    alpha = float(doc.get("alpha", 1.0))
+    if reward_delta is not None:
+        reward_delta = _number(reward_delta, "reward_delta")
+    alpha = _number(doc.get("alpha", 1.0), "alpha")
     plasticity = bool(doc.get("plasticity", True))
     lam = None
     if doc.get("transform") is not None:
@@ -513,7 +535,7 @@ def cmd_spike_demo(args) -> int:
                 new_w = stdp_update(w, tau, t_minus, t_plus, params)
                 if reward_delta is not None:
                     modulated = stdp_update(w, tau, t_minus, t_plus, params,
-                                            reward_delta=float(reward_delta), alpha=alpha)
+                                            reward_delta=reward_delta, alpha=alpha)
                     new_w += modulated - w
                 updated[(i, j)] = new_w
             current = updated

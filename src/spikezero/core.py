@@ -2,7 +2,7 @@
 
 Dense real vectors are plain 1-D float64 numpy arrays throughout the
 package; :func:`as_vector` is the single validation gate. The module also
-provides the elementwise operations used by the update rules, learning-rate
+provides the row-wise dot product of the batched update rules, learning-rate
 schedules, and the seeded RNG streams that make every stochastic routine
 replayable.
 """
@@ -16,14 +16,9 @@ import numpy as np
 __all__ = [
     "as_vector",
     "row_dot",
-    "hadamard",
-    "exp_map",
     "LearningRateSchedule",
     "RngStream",
 ]
-
-# exp() overflows float64 just above this exponent
-_EXP_MAX = 709.0
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
@@ -45,34 +40,6 @@ def row_dot(a, b) -> np.ndarray:
     (``einsum`` and matrix-vector products round differently).
     """
     return np.vecdot(a, b)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Componentwise product of two equal-length vectors."""
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a * b
-
-
-def exp_map(v, sign: int = 1) -> np.ndarray:
-    """Componentwise ``exp(sign * v)`` with an explicit overflow check.
-
-    ``sign`` must be +1 or -1. Raises OverflowError naming the first
-    offending index if any component would overflow float64.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    v = as_vector(v, "v")
-    scaled = sign * v
-    too_big = scaled > _EXP_MAX
-    if np.any(too_big):
-        idx = int(np.argmax(too_big))
-        raise OverflowError(
-            f"exp_map overflow at index {idx}: exp({scaled[idx]:g}) exceeds float64"
-        )
-    return np.exp(scaled)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,16 @@ strictly positive weights w = e^theta:
 with the loss evaluated at w_k * e^{U_k}. Its log agrees with the additive
 form to second order in the step size.
 
+One OptimizerState serves both parametrizations: its ``theta`` holds
+log-weights for the additive steps and the weights themselves for the
+multiplicative one. Its loss history keeps ``strategy.memory`` entries.
+
 Every step function advances one iterate of shape (d,) or a batch of R
-independent replicate iterates of shape (R, d) in one call, and
-run_optimizer runs all replicates of a method as one such batch. Row i of
-a batch moves bit for bit as the single iterate with row i's noise would.
+independent replicate iterates of shape (R, d) in one call, and takes its
+noise rows as an argument instead of drawing them. run_optimizer draws
+each replicate's rows from its own substream and runs all replicates of a
+method as one batch. Row i of a batch moves bit for bit as the single
+iterate with row i's noise would.
 """
 
 from __future__ import annotations
@@ -41,9 +47,7 @@ __all__ = [
     "AnticipatedLossStrategy",
     "anticipated_loss",
     "OptimizerState",
-    "MultiplicativeState",
     "init_state",
-    "init_multiplicative_state",
     "gd_step",
     "one_point_step",
     "stdp_zo_step",
@@ -167,42 +171,25 @@ class OptimizerState:
     """Mutable iterate state; step functions update it in place and return it.
 
     ``theta`` is one iterate of shape (d,) or a batch of R replicate
-    iterates of shape (R, d). For a batch, each loss_history entry holds one
-    realized loss per row, and noise drawn from ``rng`` fills the rows in
-    order.
+    iterates of shape (R, d): log-weights for the additive steps, and the
+    strictly positive weights w = e^theta themselves for
+    stdp_multiplicative_step. For a batch, each loss_history entry holds one
+    realized loss per row.
     """
 
     theta: np.ndarray
-    theta_prev: np.ndarray
     iteration: int = 0
     loss_history: deque = field(default_factory=lambda: deque(maxlen=32))
-    rng: np.random.Generator | None = None
 
 
-@dataclass
-class MultiplicativeState:
-    """Weight-space counterpart of OptimizerState (strictly positive weights)."""
-
-    weights: np.ndarray
-    iteration: int = 0
-    loss_history: deque = field(default_factory=lambda: deque(maxlen=32))
-    rng: np.random.Generator | None = None
-
-
-def _as_iterate(values, name: str) -> np.ndarray:
-    """A finite float64 copy of one iterate (d,) or a batch of them (R, d)."""
-    v = np.array(values, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"{name} must have shape (d,) or (R, d), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def _rng(state) -> np.random.Generator:
-    if state.rng is None:
-        raise ValueError("no rng to draw noise from: set state.rng or pass the noise")
-    return state.rng
+def init_state(theta0, memory: int = 32) -> OptimizerState:
+    """A start state, one iterate (d,) or a batch (R, d), that keeps ``memory`` past losses."""
+    theta = np.array(theta0, dtype=np.float64)
+    if theta.ndim not in (1, 2):
+        raise ValueError(f"theta0 must have shape (d,) or (R, d), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta0 contains non-finite entries")
+    return OptimizerState(theta, loss_history=deque(maxlen=memory))
 
 
 def _evaluate(loss: LossFunction, points: np.ndarray, sample):
@@ -228,149 +215,101 @@ def _per_row(values, points: np.ndarray):
     return values[:, None] if points.ndim == 2 else values
 
 
-def init_state(theta0, rng: np.random.Generator | None = None,
-               loss: LossFunction | None = None,
-               noise_cfg: NoiseConfig | None = None,
-               sample: SupervisedSample | None = None,
-               memory: int = 32,
-               noise: np.ndarray | None = None) -> OptimizerState:
-    """Build a start state, one iterate (d,) or a batch (R, d), with theta_prev = theta0.
-
-    When a loss and noise config are given, the realized-loss history is
-    seeded with one evaluation at theta0 + U for a fresh uniform offset U
-    (or the forced ``noise``), so the 'previous' baseline is defined from
-    the first step.
-    """
-    theta0 = _as_iterate(theta0, "theta0")
-    state = OptimizerState(theta=theta0, theta_prev=theta0.copy(),
-                           loss_history=deque(maxlen=memory), rng=rng)
-    if loss is not None and noise_cfg is not None:
-        if noise is None:
-            a = noise_cfg.half_interval
-            noise = _rng(state).uniform(-a, a, size=theta0.shape)
-        state.loss_history.append(_evaluate(loss, theta0 + noise, sample))
-    return state
-
-
-def init_multiplicative_state(weights0, rng: np.random.Generator | None = None,
-                              loss: LossFunction | None = None,
-                              noise_cfg: NoiseConfig | None = None,
-                              sample: SupervisedSample | None = None,
-                              memory: int = 32,
-                              noise: np.ndarray | None = None) -> MultiplicativeState:
-    """Weight-space analogue of init_state; history seeded at w0 * e^U."""
-    weights0 = _as_iterate(weights0, "weights0")
-    if np.any(weights0 <= 0):
-        raise ValueError("weights must be strictly positive")
-    state = MultiplicativeState(weights=weights0, loss_history=deque(maxlen=memory), rng=rng)
-    if loss is not None and noise_cfg is not None:
-        if noise is None:
-            a = noise_cfg.half_interval
-            noise = _rng(state).uniform(-a, a, size=weights0.shape)
-        state.loss_history.append(_evaluate(loss, weights0 * np.exp(noise), sample))
-    return state
-
-
 def gd_step(state: OptimizerState, loss: LossFunction,
             schedule: LearningRateSchedule,
             sample: SupervisedSample | None = None) -> OptimizerState:
     """Plain gradient descent, falling back to central differences."""
     k = state.iteration + 1
-    grad = _gradient(loss, state.theta, sample)
-    state.theta_prev = state.theta
-    state.theta = state.theta - schedule.rate(k) * grad
+    state.theta = state.theta - schedule.rate(k) * _gradient(loss, state.theta, sample)
     state.iteration = k
     return state
 
 
 def one_point_step(state: OptimizerState, loss: LossFunction,
                    schedule: LearningRateSchedule, gauss: GaussianNoiseConfig,
-                   sample: SupervisedSample | None = None,
-                   noise: np.ndarray | None = None) -> OptimizerState:
+                   noise: np.ndarray,
+                   sample: SupervisedSample | None = None) -> OptimizerState:
     """Single-evaluation Gaussian zero-order step.
 
-    Draws xi ~ N(0, sigma2 I) and moves against beta * L(theta + xi) * xi.
-    In expectation that product equals sigma2 * beta times the smoothed
-    gradient, so subtracting it descends; the raw product is extremely
-    noisy, with per-coordinate variance growing quadratically in the
-    dimension for quadratic losses. ``noise`` forces the perturbation for
-    deterministic tests.
+    Moves against beta * L(theta + xi) * xi for the perturbation xi =
+    ``noise``, a draw of N(0, sigma2 I) shaped like theta. In expectation
+    that product equals sigma2 * beta times the smoothed gradient, so
+    subtracting it descends; the raw product is extremely noisy, with
+    per-coordinate variance growing quadratically in the dimension for
+    quadratic losses.
     """
     k = state.iteration + 1
-    if noise is None:
-        xi = _rng(state).normal(0.0, math.sqrt(gauss.sigma2), size=state.theta.shape)
-    else:
-        xi = np.asarray(noise, dtype=np.float64)
+    xi = np.asarray(noise, dtype=np.float64)
     perturbed = _evaluate(loss, state.theta + xi, sample)
-    state.theta_prev = state.theta
     state.theta = state.theta - _per_row(schedule.rate(k) * gauss.beta * perturbed, xi) * xi
     state.iteration = k
     return state
 
 
+def _stdp_move(state: OptimizerState, loss: LossFunction, schedule: LearningRateSchedule,
+               strategy: AnticipatedLossStrategy, u: np.ndarray, point: np.ndarray, sample):
+    """The realized loss at ``point`` and the move alpha * (L - Lbar) * (e^{-U} - e^{U})."""
+    baseline = anticipated_loss(state.loss_history, strategy)
+    realized = _evaluate(loss, point, sample)
+    rate = schedule.rate(state.iteration + 1)
+    return realized, _per_row(rate * (realized - baseline), u) * (np.exp(-u) - np.exp(u))
+
+
 def stdp_zo_step(state: OptimizerState, loss: LossFunction,
-                 schedule: LearningRateSchedule, noise_cfg: NoiseConfig,
-                 strategy: AnticipatedLossStrategy,
-                 sample: SupervisedSample | None = None,
-                 noise: np.ndarray | None = None) -> OptimizerState:
+                 schedule: LearningRateSchedule, strategy: AnticipatedLossStrategy,
+                 noise: np.ndarray,
+                 sample: SupervisedSample | None = None) -> OptimizerState:
     """Spike-timing zero-order step in log-weight coordinates.
 
-    Draws U uniform on [-A, A]^d, evaluates the loss at theta + U, and
-    moves along (loss - baseline) * (e^{-U} - e^{U}). The realized
-    perturbed loss is appended to the history that feeds the baseline.
-    ``noise`` forces U for deterministic tests.
+    For the timing offsets U = ``noise``, uniform on [-A, A] and shaped
+    like theta, evaluates the loss at theta + U and moves along
+    (loss - baseline) * (e^{-U} - e^{U}). The realized perturbed loss is
+    appended to the history that feeds the baseline.
     """
-    k = state.iteration + 1
-    a = noise_cfg.half_interval
-    if noise is None:
-        u = _rng(state).uniform(-a, a, size=state.theta.shape)
-    else:
-        u = np.asarray(noise, dtype=np.float64)
-    baseline = anticipated_loss(state.loss_history, strategy)
-    realized = _evaluate(loss, state.theta + u, sample)
-    delta = realized - baseline
-    state.theta_prev = state.theta
-    state.theta = state.theta + _per_row(schedule.rate(k) * delta, u) * (np.exp(-u) - np.exp(u))
+    u = np.asarray(noise, dtype=np.float64)
+    realized, move = _stdp_move(state, loss, schedule, strategy, u, state.theta + u, sample)
+    state.theta = state.theta + move
     state.loss_history.append(realized)
-    state.iteration = k
+    state.iteration += 1
     return state
 
 
-def stdp_multiplicative_step(state: MultiplicativeState, loss: LossFunction,
-                             schedule: LearningRateSchedule, noise_cfg: NoiseConfig,
-                             strategy: AnticipatedLossStrategy,
-                             sample: SupervisedSample | None = None,
-                             noise: np.ndarray | None = None,
-                             clamp: bool = False,
-                             clamp_floor: float = 1e-8) -> MultiplicativeState:
-    """Spike-timing step applied multiplicatively to positive weights.
+# a clamped update multiplier never drops below this
+_CLAMP_FLOOR = 1e-8
 
-    The loss is evaluated at w * e^U and each weight is scaled by
-    1 + alpha * (loss - baseline) * (e^{-U_j} - e^{U_j}). A multiplier
-    <= 0 would break positivity; by default that raises PositivityError
-    so misconfigured step sizes are not silently masked, and with
-    ``clamp=True`` the multiplier is floored at ``clamp_floor`` instead.
+
+def stdp_multiplicative_step(state: OptimizerState, loss: LossFunction,
+                             schedule: LearningRateSchedule,
+                             strategy: AnticipatedLossStrategy,
+                             noise: np.ndarray,
+                             sample: SupervisedSample | None = None,
+                             clamp: bool = False) -> OptimizerState:
+    """Spike-timing step applied multiplicatively to the positive weights in theta.
+
+    The loss is evaluated at w * e^U for U = ``noise`` and each weight is
+    scaled by 1 + alpha * (loss - baseline) * (e^{-U_j} - e^{U_j}). A
+    multiplier <= 0 would break positivity; by default that raises
+    PositivityError so misconfigured step sizes are not silently masked,
+    and with ``clamp=True`` the multiplier is floored at a tiny positive
+    value instead (weights may still underflow to 0.0 over many steps).
     For a batch the error names the first failing row, and the state is
-    left as it was.
+    left as it was. The start weights must be strictly positive; that is
+    checked at iteration 0.
     """
-    k = state.iteration + 1
-    a = noise_cfg.half_interval
-    if noise is None:
-        u = _rng(state).uniform(-a, a, size=state.weights.shape)
-    else:
-        u = np.asarray(noise, dtype=np.float64)
-    baseline = anticipated_loss(state.loss_history, strategy)
-    realized = _evaluate(loss, state.weights * np.exp(u), sample)
-    delta = realized - baseline
-    multiplier = 1.0 + _per_row(schedule.rate(k) * delta, u) * (np.exp(-u) - np.exp(u))
+    if state.iteration == 0 and np.any(state.theta <= 0):
+        raise ValueError("weights must be strictly positive")
+    u = np.asarray(noise, dtype=np.float64)
+    realized, move = _stdp_move(state, loss, schedule, strategy, u,
+                                state.theta * np.exp(u), sample)
+    multiplier = 1.0 + move
     bad = multiplier <= 0.0
     if np.any(bad):
         if not clamp:
             raise _positivity_error(multiplier, bad)
-        multiplier = np.maximum(multiplier, clamp_floor)
-    state.weights = state.weights * multiplier
+        multiplier = np.maximum(multiplier, _CLAMP_FLOOR)
+    state.theta = state.theta * multiplier
     state.loss_history.append(realized)
-    state.iteration = k
+    state.iteration += 1
     return state
 
 
@@ -408,7 +347,6 @@ class RunConfig:
     noise: NoiseConfig | None = None
     gaussian: GaussianNoiseConfig | None = None
     theta0: np.ndarray | None = None
-    memory: int = 32
     clamp: bool = False
 
     def __post_init__(self):
@@ -504,28 +442,16 @@ class _NoiseRows:
         self.rows = self.rows[:, rows]
 
 
-def _keep_rows(state, rows: np.ndarray):
-    """Drop every row of a batched state but ``rows``."""
-    if isinstance(state, MultiplicativeState):
-        state.weights = state.weights[rows]
-    else:
-        state.theta = state.theta[rows]
-        state.theta_prev = state.theta_prev[rows]
-    state.loss_history = deque((h[rows] for h in state.loss_history),
-                               maxlen=state.loss_history.maxlen)
-
-
 def _step(config: RunConfig, state, loss, sample, noise):
     if config.method == "gd":
         gd_step(state, loss, config.schedule, sample)
     elif config.method == "one-point":
-        one_point_step(state, loss, config.schedule, config.gaussian, sample, noise=noise)
+        one_point_step(state, loss, config.schedule, config.gaussian, noise, sample)
     elif config.method == "stdp-zo":
-        stdp_zo_step(state, loss, config.schedule, config.noise, config.strategy, sample,
-                     noise=noise)
+        stdp_zo_step(state, loss, config.schedule, config.strategy, noise, sample)
     else:
-        stdp_multiplicative_step(state, loss, config.schedule, config.noise, config.strategy,
-                                 sample, noise=noise, clamp=config.clamp)
+        stdp_multiplicative_step(state, loss, config.schedule, config.strategy, noise, sample,
+                                 clamp=config.clamp)
 
 
 def _run_batch(loss, config: RunConfig, base, replicates: list,
@@ -573,23 +499,23 @@ def _run_batch(loss, config: RunConfig, base, replicates: list,
     def keep(rows):
         nonlocal live
         live = live[rows]
-        _keep_rows(state, rows)
+        state.theta = state.theta[rows]
+        state.loss_history = deque((h[rows] for h in state.loss_history),
+                                   maxlen=state.loss_history.maxlen)
         if noise is not None:
             noise.keep(rows)
 
-    # divergence to inf is an expected outcome here, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if multiplicative:
-            start = np.exp(theta0)
-            state = init_multiplicative_state(start, loss=loss, noise_cfg=config.noise,
-                                              sample=samples[0], memory=config.memory,
-                                              noise=noise.take())
-        else:
-            start = theta0
-            seeded = method == "stdp-zo"
-            state = init_state(theta0, loss=loss if seeded else None, noise_cfg=config.noise,
-                               sample=samples[0], memory=config.memory,
-                               noise=noise.take() if seeded else None)
+    # divergence to inf and weights underflowing to 0.0 under clamping are
+    # expected outcomes here, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = np.exp(theta0) if multiplicative else theta0
+        state = init_state(start, config.strategy.memory)
+        if method in ("stdp-zo", "stdp-mult"):
+            # the loss at the first noise row seeds the history, so the
+            # 'previous' baseline is defined from the first step
+            u = noise.take()
+            seed_point = start * np.exp(u) if multiplicative else start + u
+            state.loss_history.append(loss.evaluate_many(seed_point, samples[0]))
         initial_loss = _finite_or_inf(loss.evaluate_many(start, samples[0]))
         initial_norm = _finite_or_inf(np.sqrt(row_dot(theta0, theta0)))
 
@@ -607,7 +533,7 @@ def _run_batch(loss, config: RunConfig, base, replicates: list,
                     u = u[:exc.row]
                     keep(np.arange(exc.row))
 
-            point = state.weights if multiplicative else state.theta
+            point = state.theta
             log_point = np.log(point) if multiplicative else point
             squares = row_dot(log_point, log_point)
             # a non-finite entry leaves its row's sum of squares non-finite

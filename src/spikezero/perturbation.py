@@ -9,9 +9,8 @@ integration by parts, an effective smoothing density
 
 which vanishes at the interval boundary, is even, and has the closed-form
 normalizer C(A) = 2A(e^{2A} + 1) + 2 - 2e^{2A}. This module provides the
-uniform sampler, the density, its normalizer, and an exact rejection
-sampler for f_A; the verification suite checks all of them against
-quadrature.
+noise configuration, the density, its normalizer, and an exact rejection
+sampler for f_A; the verification suite checks them against quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "NoiseConfig",
     "normalizer_c",
     "PerturbationDensity",
-    "sample_uniform",
 ]
 
 
@@ -48,16 +46,6 @@ class NoiseConfig:
         if int(self.dim) < 1:
             raise ValueError("dim must be at least 1")
         object.__setattr__(self, "dim", int(self.dim))
-
-
-def sample_uniform(cfg: NoiseConfig, gen: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw offset vectors, uniform and independent on [-A, A] per component.
-
-    Returns shape ``(dim,)``, or ``(size, dim)`` when ``size`` is given.
-    """
-    a = cfg.half_interval
-    shape = (cfg.dim,) if size is None else (int(size), cfg.dim)
-    return gen.uniform(-a, a, size=shape)
 
 
 def normalizer_c(half_interval: float) -> float:

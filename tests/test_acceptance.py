@@ -18,7 +18,6 @@ from spikezero.losses import LeastSquaresLoss, LogReparamLoss, PowerLoss
 from spikezero.optimizers import (
     AnticipatedLossStrategy,
     RunConfig,
-    init_multiplicative_state,
     init_state,
     run_optimizer,
     stdp_multiplicative_step,
@@ -211,7 +210,7 @@ def test_10_optimizer_behavior(configs_dir):
         u = RngStream(213).generator().uniform(-1.0, 1.0, size=(n, 1))
         state = init_state(np.zeros((n, 1)))
         stdp_zo_step(state, loss, LearningRateSchedule.constant(alpha),
-                     NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"), noise=u)
+                     AnticipatedLossStrategy("zero"), noise=u)
         displacement = math.fsum(state.theta[:, 0]) / n
         assert abs(displacement - alpha * FOUR_OVER_E) <= 0.02 * alpha * FOUR_OVER_E
 
@@ -251,18 +250,17 @@ def test_11_multiplicative_additive_consistency():
             delta = inner.evaluate(w * np.exp(u))
             alpha = float(rng.uniform(0.05, 1.0)) * 0.1 / (abs(delta) * spread)
 
-            mult = init_multiplicative_state(w.copy())
+            mult = init_state(w.copy())
             stdp_multiplicative_step(mult, inner, LearningRateSchedule.constant(alpha),
-                                     NoiseConfig(a, d), AnticipatedLossStrategy("zero"),
-                                     noise=u)
+                                     AnticipatedLossStrategy("zero"), noise=u)
             add = init_state(theta.copy())
             stdp_zo_step(add, LogReparamLoss(inner), LearningRateSchedule.constant(alpha),
-                         NoiseConfig(a, d), AnticipatedLossStrategy("zero"), noise=u)
+                         AnticipatedLossStrategy("zero"), noise=u)
 
             x = alpha * delta * (np.exp(-u) - np.exp(u))
-            assert np.all(np.abs(np.log(mult.weights) - add.theta) <= x ** 2 + 1e-15)
+            assert np.all(np.abs(np.log(mult.theta) - add.theta) <= x ** 2 + 1e-15)
         # positivity holds whenever the step-magnitude precondition holds
-        assert np.all(mult.weights > 0)
+        assert np.all(mult.theta > 0)
 
 
 def test_12_command_determinism(tmp_path, configs_dir):

@@ -1,7 +1,8 @@
 """The replicate-batched engine against replicates stepped one at a time.
 
 ``serial_replicate`` is the reference: one replicate, one (d,) iterate,
-each step drawing its noise from the replicate's own generator. The engine
+each step's noise row drawn from the replicate's own generator just before
+the step. The engine
 advances all replicates of a method as one (R, d) batch and must give the
 same traces bit for bit, including divergence padding and the outcome of a
 failing step.
@@ -36,7 +37,6 @@ from spikezero.optimizers import (
     PositivityError,
     RunConfig,
     gd_step,
-    init_multiplicative_state,
     init_state,
     one_point_step,
     run_optimizer,
@@ -69,18 +69,22 @@ def serial_replicate(loss, config, base, replicate, stream=None):
     else:
         samples = [None] * (n + 1)
     multiplicative = config.method == "stdp-mult"
+    seeded = config.method in ("stdp-zo", "stdp-mult")
+    a = config.noise.half_interval if seeded else None
+
+    def draw():
+        if config.method == "one-point":
+            return gen.normal(0.0, math.sqrt(config.gaussian.sigma2), size=config.dim)
+        return gen.uniform(-a, a, size=config.dim)
+
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        if multiplicative:
-            start = np.exp(theta0)
-            state = init_multiplicative_state(start, rng=gen, loss=loss, noise_cfg=config.noise,
-                                              sample=samples[0], memory=config.memory)
-        else:
-            start = theta0
-            seeded = config.method == "stdp-zo"
-            state = init_state(theta0, rng=gen, loss=loss if seeded else None,
-                               noise_cfg=config.noise if seeded else None,
-                               sample=samples[0], memory=config.memory)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = np.exp(theta0) if multiplicative else theta0
+        state = init_state(start, config.strategy.memory)
+        if seeded:
+            u = draw()
+            state.loss_history.append(
+                loss.evaluate(start * np.exp(u) if multiplicative else start + u, samples[0]))
         initial = (finite_or_inf(loss.evaluate(start, samples[0])),
                    finite_or_inf(np.linalg.norm(theta0)))
         for k in range(1, n + 1):
@@ -89,16 +93,15 @@ def serial_replicate(loss, config, base, replicate, stream=None):
                 if config.method == "gd":
                     gd_step(state, loss, config.schedule, sample)
                 elif config.method == "one-point":
-                    one_point_step(state, loss, config.schedule, config.gaussian, sample)
+                    one_point_step(state, loss, config.schedule, config.gaussian, draw(), sample)
                 elif config.method == "stdp-zo":
-                    stdp_zo_step(state, loss, config.schedule, config.noise, config.strategy,
-                                 sample)
+                    stdp_zo_step(state, loss, config.schedule, config.strategy, draw(), sample)
                 else:
-                    stdp_multiplicative_step(state, loss, config.schedule, config.noise,
-                                             config.strategy, sample, clamp=config.clamp)
+                    stdp_multiplicative_step(state, loss, config.schedule, config.strategy,
+                                             draw(), sample, clamp=config.clamp)
             except PositivityError as exc:
                 return initial, rows, None, f"iteration {k}: {exc}"
-            point = state.weights if multiplicative else state.theta
+            point = state.theta
             if not np.all(np.isfinite(point)):
                 rows += [(math.inf, math.inf)] * (n - k + 1)
                 return initial, rows, k, None
@@ -156,7 +159,6 @@ def test_batch_equals_replicates_run_alone(method, data):
         noise=NoiseConfig(data.draw(st.sampled_from([0.1, 1.0]), label="A"), dim),
         gaussian=GaussianNoiseConfig(data.draw(st.sampled_from([0.01, 1.0, 25.0]), label="s2")),
         theta0=None if fill is None else np.full(dim, fill),
-        memory=data.draw(st.integers(1, 8), label="memory"),
         clamp=data.draw(st.booleans(), label="clamp"),
     )
     loss = data.draw(st.sampled_from([
@@ -230,22 +232,22 @@ def test_step_on_batch_equals_steps_on_rows():
 
     batch = init_state(theta)
     batch.loss_history.extend(history)
-    stdp_zo_step(batch, loss, schedule, NoiseConfig(1.0, 4), strategy, noise=u)
+    stdp_zo_step(batch, loss, schedule, strategy, noise=u)
     for i in range(6):
         one = init_state(theta[i])
         one.loss_history.extend(float(h[i]) for h in history)
-        stdp_zo_step(one, loss, schedule, NoiseConfig(1.0, 4), strategy, noise=u[i])
+        stdp_zo_step(one, loss, schedule, strategy, noise=u[i])
         assert bits(one.theta) == bits(batch.theta[i])
         assert bits(one.loss_history[-1]) == bits(batch.loss_history[-1][i])
 
 
 def test_batch_positivity_error_names_first_failing_row_and_keeps_state():
-    state = init_multiplicative_state(np.ones((3, 1)))
+    state = init_state(np.ones((3, 1)))
     u = np.array([[-0.1], [1.0], [1.0]])
     with pytest.raises(PositivityError, match="index 0") as info:
         stdp_multiplicative_step(state, LeastSquaresLoss([0.0]),
-                                 LearningRateSchedule.constant(1.0), NoiseConfig(1.0, 1),
+                                 LearningRateSchedule.constant(1.0),
                                  AnticipatedLossStrategy("zero"), noise=u)
     assert info.value.row == 1
     assert state.iteration == 0
-    np.testing.assert_array_equal(state.weights, np.ones((3, 1)))
+    np.testing.assert_array_equal(state.theta, np.ones((3, 1)))

@@ -1,10 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from spikezero.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # shrunk sample counts that still leave comfortable statistical margin for
 # each check's pass criterion
@@ -187,6 +194,23 @@ def test_optimize_huge_start_records_inf_without_warnings(tmp_path):
     assert all(r["loss"] == "inf" for r in rows)
 
 
+def test_optimize_clamped_underflow_records_inf_without_warnings(tmp_path):
+    # clamped multipliers drive the weights to 0.0, whose log norm is inf
+    cfg = write_config(tmp_path, "clamp.json", {
+        "methods": ["stdp-mult"], "dim": 2, "iterations": 200, "replicates": 2, "seed": 1,
+        "schedule": {"kind": "constant", "alpha0": 50}, "strategy": {"kind": "zero"},
+        "loss": {"kind": "least-squares", "target": {"fill": 3}},
+        "theta0": {"fill": 0}, "clamp": True, "out": str(tmp_path / "trace.csv")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["optimize", "--config", cfg]) == 0
+    text = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "4707ab70ace31061fa5440efdc324786caafd7720dbde88247c5c184605ecb12")
+    rows = read_rows(tmp_path / "trace.csv")
+    assert [r["theta_norm"] for r in rows if r["iter"] == "200"] == ["inf", "inf"]
+
+
 def test_optimize_multiplicative_start_out_of_range_is_config_error(tmp_path, capsys):
     cfg = optimize_config(tmp_path, methods=["stdp-mult"], theta0={"fill": 1e308})
     assert main(["optimize", "--config", cfg]) == 2
@@ -203,6 +227,38 @@ def test_optimize_rejects_unknown_field(tmp_path, capsys):
     cfg = optimize_config(tmp_path, momentum=0.9)
     assert main(["optimize", "--config", cfg]) == 2
     assert "momentum" in capsys.readouterr().err
+
+
+def test_optimize_rejects_top_level_memory(tmp_path, capsys):
+    # the history window is the strategy's memory
+    cfg = optimize_config(tmp_path, memory=8)
+    assert main(["optimize", "--config", cfg]) == 2
+    assert "unknown field 'memory'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("optimize", {"dim": "x"}, "dim"),
+    ("optimize", {"dim": None}, "dim"),
+    ("optimize", {"dim": [1]}, "dim"),
+    ("optimize", {"dim": {}}, "dim"),
+    ("optimize", {"dim": 1e400}, "dim"),
+    ("optimize", {"theta0": {"fill": "abc"}}, "theta0.fill"),
+    ("optimize", {"methods": 5}, "methods"),
+    ("optimize", {"seed": -1}, "seed"),
+    ("verify", {"checks": ["normalizer"], "samples": {"normalizer": "x"}}, "samples.normalizer"),
+    ("sweep", {"dims": ["a"]}, "dims"),
+    ("spike-demo", {"trials": "x"}, "trials"),
+])
+def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
+    base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
+            "verify": {},
+            "sweep": {},
+            "spike-demo": {"topology": str(configs_dir / "topology_3in1out.json")}}[command]
+    cfg = write_config(tmp_path, "bad.json", {**base, **doc, "out": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
 
 
 def test_optimize_requires_config(capsys):
@@ -315,3 +371,18 @@ def test_spike_demo_rerun_is_byte_identical(tmp_path, configs_dir):
     assert main(["spike-demo", "--config", cfg, "--out", str(a)]) == 0
     assert main(["spike-demo", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/layertrace.py patches functions by name; a rename in src
+    # would otherwise only show up when the benchmark runs with --trace 1
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    code = ('import sys; sys.path.insert(0, "perfbench"); '
+            'from layertrace import Tracer; Tracer().install()')
+    result = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,42 +1,8 @@
-import math
 
 import numpy as np
 import pytest
 
-from spikezero.core import LearningRateSchedule, RngStream, as_vector, exp_map, hadamard
-
-
-def test_hadamard_componentwise():
-    np.testing.assert_array_equal(hadamard([1, 2, 3], [4, 5, 6]), [4.0, 10.0, 18.0])
-
-
-def test_hadamard_identity_and_annihilator():
-    v = np.array([0.5, -2.0, 7.0])
-    np.testing.assert_array_equal(hadamard(v, np.ones(3)), v)
-    np.testing.assert_array_equal(hadamard(v, np.zeros(3)), np.zeros(3))
-
-
-def test_hadamard_commutes_exactly():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.standard_normal(8)
-        b = rng.standard_normal(8)
-        # IEEE multiplication is commutative, so the difference is exactly zero
-        assert np.max(np.abs(hadamard(a, b) - hadamard(b, a))) == 0.0
-
-
-def test_hadamard_associates_up_to_rounding():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a, b, c = rng.standard_normal((3, 8))
-        left = hadamard(hadamard(a, b), c)
-        right = hadamard(a, hadamard(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-14)
-
-
-def test_hadamard_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        hadamard([1.0, 2.0], [1.0, 2.0, 3.0])
+from spikezero.core import LearningRateSchedule, RngStream, as_vector
 
 
 def test_as_vector_rejects_non_finite():
@@ -44,35 +10,6 @@ def test_as_vector_rejects_non_finite():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError, match="one-dimensional"):
         as_vector([[1.0, 2.0]])
-
-
-def test_exp_map_values():
-    np.testing.assert_array_equal(exp_map([0.0, 0.0], 1), [1.0, 1.0])
-    np.testing.assert_allclose(exp_map([math.log(2.0)], -1), [0.5], rtol=1e-15)
-
-
-def test_exp_map_reciprocal_pair():
-    rng = np.random.default_rng(1)
-    v = rng.uniform(-3, 3, size=20)
-    np.testing.assert_allclose(hadamard(exp_map(v, 1), exp_map(v, -1)), np.ones(20),
-                               rtol=1e-14)
-
-
-def test_exp_map_positive():
-    rng = np.random.default_rng(2)
-    assert np.all(exp_map(rng.uniform(-50, 50, size=100), 1) > 0)
-
-
-def test_exp_map_overflow_names_index():
-    with pytest.raises(OverflowError, match="index 1"):
-        exp_map([0.0, 800.0], 1)
-    with pytest.raises(OverflowError, match="index 0"):
-        exp_map([-800.0], -1)
-
-
-def test_exp_map_bad_sign():
-    with pytest.raises(ValueError):
-        exp_map([1.0], 2)
 
 
 @pytest.mark.parametrize("k,expected", [(1, 0.1), (7, 0.1), (1000, 0.1)])

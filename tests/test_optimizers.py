@@ -21,7 +21,6 @@ from spikezero.optimizers import (
     RunConfig,
     anticipated_loss,
     gd_step,
-    init_multiplicative_state,
     init_state,
     one_point_step,
     run_optimizer,
@@ -34,8 +33,8 @@ from spikezero.verification import check_mean_step
 CONST = LearningRateSchedule.constant
 
 
-def make_state(theta, memory=32, rng=None, history=()):
-    state = init_state(theta, rng=rng, memory=memory)
+def make_state(theta, memory=32, history=()):
+    state = init_state(theta, memory)
     for value in history:
         state.loss_history.append(value)
     return state
@@ -102,40 +101,14 @@ class TestAnticipatedLoss:
 # steps
 
 
-def test_init_state_sets_previous_to_start():
-    state = init_state([1.0, -2.0])
-    np.testing.assert_array_equal(state.theta_prev, state.theta)
-    assert state.theta_prev is not state.theta
-    assert state.iteration == 0
-
-
-def test_init_state_seeds_history_with_perturbed_loss():
-    loss = LeastSquaresLoss([1.0, 1.0])
-    state = init_state([0.0, 0.0], rng=RngStream(50).generator(), loss=loss,
-                       noise_cfg=NoiseConfig(1.0, 2))
-    assert len(state.loss_history) == 1
-    # the seed entry is the loss at theta0 + U for the first uniform draw
-    u = RngStream(50).generator().uniform(-1.0, 1.0, size=2)
-    assert state.loss_history[0] == loss.evaluate(u)
-
-
-@pytest.mark.parametrize("step", ["one-point", "stdp-zo", "stdp-mult"])
-def test_step_without_rng_or_noise_names_the_rng(step):
-    loss, schedule, noise_cfg = LeastSquaresLoss([1.0]), CONST(0.1), NoiseConfig(1.0, 1)
-    with pytest.raises(ValueError, match="rng"):
-        if step == "one-point":
-            one_point_step(make_state([0.0]), loss, schedule, GaussianNoiseConfig(1.0))
-        elif step == "stdp-zo":
-            stdp_zo_step(make_state([0.0]), loss, schedule, noise_cfg,
-                         AnticipatedLossStrategy("zero"))
-        else:
-            stdp_multiplicative_step(init_multiplicative_state([1.0]), loss, schedule,
-                                     noise_cfg, AnticipatedLossStrategy("zero"))
-
-
-def test_seeding_history_without_rng_names_the_rng():
-    with pytest.raises(ValueError, match="rng"):
-        init_state([0.0], loss=LeastSquaresLoss([1.0]), noise_cfg=NoiseConfig(1.0, 1))
+def test_multiplicative_step_rejects_nonpositive_start_weights():
+    for weights in ([1.0, 0.0], [[1.0], [-2.0]]):
+        state = init_state(weights)
+        with pytest.raises(ValueError, match="strictly positive"):
+            stdp_multiplicative_step(state, LeastSquaresLoss([1.0]), CONST(0.1),
+                                     AnticipatedLossStrategy("zero"),
+                                     noise=np.zeros_like(state.theta))
+        assert state.iteration == 0
 
 
 class TestGdStep:
@@ -213,30 +186,28 @@ class TestStdpZoStep:
     def test_zero_noise_is_identity(self):
         state = make_state([0.7, -0.3], history=[123.0])
         stdp_zo_step(state, LeastSquaresLoss([5.0, 5.0]), CONST(0.5),
-                     NoiseConfig(1.0, 2), AnticipatedLossStrategy("previous"),
-                     noise=np.zeros(2))
+                     AnticipatedLossStrategy("previous"), noise=np.zeros(2))
         np.testing.assert_array_equal(state.theta, [0.7, -0.3])
 
     def test_hand_value(self):
         state = make_state([0.0])
-        stdp_zo_step(state, LeastSquaresLoss([0.0]), CONST(0.1), NoiseConfig(1.0, 1),
+        stdp_zo_step(state, LeastSquaresLoss([0.0]), CONST(0.1),
                      AnticipatedLossStrategy("zero"), noise=np.array([math.log(2.0)]))
         assert state.theta[0] == pytest.approx(-0.07206795208773022, rel=1e-12)
 
     def test_history_grows_and_is_bounded(self):
         state = make_state([0.0], memory=3, history=[1.0])
         gen = RngStream(5).generator()
-        state.rng = gen
         for k in range(10):
-            stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.01), NoiseConfig(1.0, 1),
-                         AnticipatedLossStrategy("previous"))
+            stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.01),
+                         AnticipatedLossStrategy("previous"), gen.uniform(-1.0, 1.0, size=1))
             assert state.iteration == k + 1
             assert len(state.loss_history) <= 3
 
     def test_empty_history_with_previous_errors(self):
         state = make_state([0.0])
         with pytest.raises(ValueError, match="nonempty"):
-            stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.1), NoiseConfig(1.0, 1),
+            stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.1),
                          AnticipatedLossStrategy("previous"), noise=np.zeros(1))
 
     def test_mean_displacement_matches_smoothed_gradient(self):
@@ -252,8 +223,8 @@ class TestStdpZoStep:
         for i in range(n):
             state.theta = np.zeros(1)
             state.iteration = 0
-            stdp_zo_step(state, loss, CONST(alpha), NoiseConfig(a, 1),
-                         AnticipatedLossStrategy("zero"), noise=u[i])
+            stdp_zo_step(state, loss, CONST(alpha), AnticipatedLossStrategy("zero"),
+                         noise=u[i])
             displacements[i] = state.theta[0]
         report = check_mean_step(loss, [0.0], a, alpha, 200_000, RngStream(23),
                                 quadrature=True)
@@ -278,34 +249,31 @@ class TestStdpZoStep:
 
 class TestStdpMultiplicativeStep:
     def test_zero_noise_is_identity(self):
-        state = init_multiplicative_state([0.5, 2.0])
+        state = init_state([0.5, 2.0])
         state.loss_history.append(7.0)
         stdp_multiplicative_step(state, LeastSquaresLoss([1.0, 1.0]), CONST(0.1),
-                                 NoiseConfig(1.0, 2), AnticipatedLossStrategy("previous"),
-                                 noise=np.zeros(2))
-        np.testing.assert_array_equal(state.weights, [0.5, 2.0])
+                                 AnticipatedLossStrategy("previous"), noise=np.zeros(2))
+        np.testing.assert_array_equal(state.theta, [0.5, 2.0])
 
     def test_hand_value(self):
         # alpha * delta = 0.1 with U = ln 2 scales the weight by 0.85
-        state = init_multiplicative_state([1.0])
+        state = init_state([1.0])
         stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(0.1),
-                                 NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"),
-                                 noise=np.array([math.log(2.0)]))
-        assert state.weights[0] == pytest.approx(0.85, rel=1e-14)
+                                 AnticipatedLossStrategy("zero"), noise=np.array([math.log(2.0)]))
+        assert state.theta[0] == pytest.approx(0.85, rel=1e-14)
 
     def test_positivity_violation_raises(self):
-        state = init_multiplicative_state([1.0])
+        state = init_state([1.0])
         with pytest.raises(PositivityError, match="index 0"):
             stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(1.0),
-                                     NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"),
-                                     noise=np.array([1.0]))
+                                     AnticipatedLossStrategy("zero"), noise=np.array([1.0]))
 
     def test_clamp_keeps_weights_positive(self):
-        state = init_multiplicative_state([1.0])
+        state = init_state([1.0])
         stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(1.0),
-                                 NoiseConfig(1.0, 1), AnticipatedLossStrategy("zero"),
-                                 noise=np.array([1.0]), clamp=True)
-        assert state.weights[0] > 0
+                                 AnticipatedLossStrategy("zero"), noise=np.array([1.0]),
+                                 clamp=True)
+        assert state.theta[0] > 0
 
     def test_positive_whenever_step_is_small(self):
         rng = np.random.default_rng(25)
@@ -314,11 +282,10 @@ class TestStdpMultiplicativeStep:
             w = np.exp(rng.standard_normal(d))
             u = rng.uniform(-1.0, 1.0, d)
             scale = rng.uniform(0.001, 0.1) / (math.e - 1.0 / math.e)
-            state = init_multiplicative_state(w)
+            state = init_state(w)
             stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(scale),
-                                     NoiseConfig(1.0, d), AnticipatedLossStrategy("zero"),
-                                     noise=u)
-            assert np.all(state.weights > 0)
+                                     AnticipatedLossStrategy("zero"), noise=u)
+            assert np.all(state.theta > 0)
 
     def test_log_agrees_with_additive_step_to_second_order(self):
         rng = np.random.default_rng(26)
@@ -334,15 +301,15 @@ class TestStdpMultiplicativeStep:
             # keep the per-coordinate step x = alpha*delta*(e^-U - e^U) within 0.1
             alpha = rng.uniform(0.05, 1.0) * 0.1 / (abs(delta) * spread)
 
-            mult = init_multiplicative_state(w.copy())
-            stdp_multiplicative_step(mult, inner, CONST(alpha), NoiseConfig(a, d),
-                                     AnticipatedLossStrategy("zero"), noise=u)
+            mult = init_state(w.copy())
+            stdp_multiplicative_step(mult, inner, CONST(alpha), AnticipatedLossStrategy("zero"),
+                                     noise=u)
             add = make_state(theta.copy())
-            stdp_zo_step(add, LogReparamLoss(inner), CONST(alpha), NoiseConfig(a, d),
+            stdp_zo_step(add, LogReparamLoss(inner), CONST(alpha),
                          AnticipatedLossStrategy("zero"), noise=u)
 
             x = alpha * delta * (np.exp(-u) - np.exp(u))
-            gap = np.abs(np.log(mult.weights) - add.theta)
+            gap = np.abs(np.log(mult.theta) - add.theta)
             assert np.all(gap <= x ** 2 + 1e-15)
 
 

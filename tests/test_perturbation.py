@@ -9,7 +9,6 @@ from spikezero.perturbation import (
     NoiseConfig,
     PerturbationDensity,
     normalizer_c,
-    sample_uniform,
 )
 
 A_GRID = (0.1, 0.5, 1.0, 2.0)
@@ -94,30 +93,6 @@ def test_noise_config_validation():
         NoiseConfig(0.0, 3)
     with pytest.raises(ValueError, match="dim"):
         NoiseConfig(1.0, 0)
-
-
-def test_sample_uniform_support():
-    cfg = NoiseConfig(1.0, 5)
-    gen = RngStream(3).generator()
-    draws = sample_uniform(cfg, gen, size=2000)
-    assert draws.shape == (2000, 5)
-    assert np.all(np.abs(draws) <= 1.0)
-    single = sample_uniform(cfg, RngStream(3).generator())
-    assert single.shape == (5,)
-
-
-def test_sample_uniform_tiny_interval_degenerates():
-    cfg = NoiseConfig(1e-12, 4)
-    draws = sample_uniform(cfg, RngStream(4).generator(), size=100)
-    np.testing.assert_allclose(draws, 0.0, atol=1e-11)
-
-
-def test_sample_uniform_mean():
-    n = 1_000_000
-    cfg = NoiseConfig(1.0, 1)
-    draws = sample_uniform(cfg, RngStream(6).generator(), size=n)
-    se = 1.0 / math.sqrt(3 * n)
-    assert abs(draws.mean()) <= 3 * se
 
 
 def test_sample_fa_support_and_mean():
