@@ -29,6 +29,7 @@ from .optimizers import (
     gd_step,
     init_state,
     one_point_step,
+    run_methods,
     run_optimizer,
     stdp_multiplicative_step,
     stdp_zo_step,

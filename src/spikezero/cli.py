@@ -26,7 +26,7 @@ from .optimizers import (
     GaussianNoiseConfig,
     OptimizerStepError,
     RunConfig,
-    run_optimizer,
+    run_methods,
     run_replicate,  # noqa: F401 -- importable from here for perfbench/layertrace.py
 )
 from .perturbation import NoiseConfig
@@ -69,7 +69,9 @@ def _load_config(path: str | None, default: dict | None = None) -> tuple[dict, P
     return doc, p.parent
 
 
-def _check_keys(doc: dict, allowed, where: str):
+def _check_keys(doc, allowed, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown field {key!r} in {where}")
@@ -81,6 +83,14 @@ def _number(value, field: str, kind=float):
         return kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
+
+
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    """The JSON boolean at ``key``; any other value, the string "false" too, is a ConfigError."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {key!r} must be true or false, not {value!r}")
+    return value
 
 
 def _seed(args, doc: dict, default: int) -> int:
@@ -108,14 +118,12 @@ def _positive(doc: dict, key: str, where: str, default=None) -> float:
     if value is None:
         raise ConfigError(f"missing field {key!r} in {where}")
     value = _number(value, key)
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{key} must be positive and finite")
     return value
 
 
 def _build_schedule(doc) -> LearningRateSchedule:
-    if not isinstance(doc, dict):
-        raise ConfigError("schedule must be an object")
     _check_keys(doc, {"kind", "alpha0", "power"}, "schedule")
     kind = doc.get("kind", "constant")
     if "alpha0" not in doc:
@@ -135,8 +143,6 @@ def _build_schedule(doc) -> LearningRateSchedule:
 def _build_strategy(doc) -> AnticipatedLossStrategy:
     if doc is None:
         return AnticipatedLossStrategy("previous")
-    if not isinstance(doc, dict):
-        raise ConfigError("strategy must be an object")
     _check_keys(doc, {"kind", "memory", "decay"}, "strategy")
     decay = doc.get("decay")
     try:
@@ -176,10 +182,20 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _out(args, doc: dict, default: str) -> Path:
+    out = args.out if args.out is not None else doc.get("out", default)
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"field 'out' must be a nonempty path, not {out!r}")
+    return Path(out)
+
+
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +280,13 @@ def cmd_verify(args) -> int:
     doc, _ = _load_config(args.config, default=_VERIFY_DEFAULTS)
     _check_keys(doc, set(_VERIFY_DEFAULTS), "verify config")
     seed = _seed(args, doc, 1)
-    out = Path(args.out if args.out is not None else doc.get("out", "verify_report.json"))
+    out = _out(args, doc, "verify_report.json")
     half_interval = _number(doc.get("half_interval", 1.0), "half_interval")
     if not half_interval > 0:
         raise ConfigError("half_interval must be positive")
     checks = doc.get("checks", list(_CHECK_NAMES))
+    if not isinstance(checks, list):
+        raise ConfigError("field 'checks' must be a list of check names")
     for name in checks:
         if name not in _CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r} in field 'checks'")
@@ -283,7 +301,13 @@ def cmd_verify(args) -> int:
 
     reports = []
     for name in checks:
-        reports.append(_run_check(name, seed, half_interval, samples.get(name)))
+        try:
+            # a check that leaves the floating-point range fails instead of
+            # warning; so does one given fewer samples than it needs
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                reports.append(_run_check(name, seed, half_interval, samples.get(name)))
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"check {name!r}: {exc}") from exc
     payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
     _write_text(out, payload)
     all_pass = all(r.passed for r in reports)
@@ -305,7 +329,7 @@ def cmd_optimize(args) -> int:
     doc, _ = _load_config(args.config)
     _check_keys(doc, _OPTIMIZE_KEYS, "optimize config")
     seed = _seed(args, doc, 0)
-    out = Path(args.out if args.out is not None else doc.get("out", "trace.csv"))
+    out = _out(args, doc, "trace.csv")
     dim = _number(doc.get("dim", 0), "dim", int)
     if dim < 1:
         raise ConfigError("dim must be at least 1")
@@ -340,30 +364,27 @@ def cmd_optimize(args) -> int:
     if "one-point" in methods:
         sigma2 = _positive(doc, "sigma2", "optimize config", default=1.0)
         beta = doc.get("beta")
-        gaussian = GaussianNoiseConfig(sigma2, None if beta is None else _number(beta, "beta"))
+        try:
+            gaussian = GaussianNoiseConfig(sigma2, None if beta is None else _number(beta, "beta"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
+    clamp = _flag(doc, "clamp", False)
     configs = []
     for method in methods:
         try:
             configs.append(RunConfig(method=method, dim=dim, iterations=iterations,
                                      schedule=schedule, strategy=strategy, noise=noise,
-                                     gaussian=gaussian, theta0=theta0,
-                                     clamp=bool(doc.get("clamp", False))))
+                                     gaussian=gaussian, theta0=theta0, clamp=clamp))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # each method's replicates advance together; a failure keeps the traces
-    # up to it and ends the run
-    base = RngStream(seed)
-    traces = []
+    # a failure keeps the traces up to it and ends the run
     failure: OptimizerStepError | None = None
-    for config in configs:
-        try:
-            traces += run_optimizer(loss, config, base, replicates, stream)
-        except OptimizerStepError as exc:
-            failure = exc
-            traces += exc.partial
-            break
+    try:
+        traces = run_methods(loss, configs, RngStream(seed), replicates, stream)
+    except OptimizerStepError as exc:
+        failure, traces = exc, exc.partial
     lines = ["method,replicate,iter,loss,theta_norm"]
     for trace in traces:
         prefix = f"{trace.method},{trace.replicate},"
@@ -388,18 +409,23 @@ def cmd_sweep(args) -> int:
     doc, _ = _load_config(args.config)
     _check_keys(doc, _SWEEP_KEYS, "sweep config")
     seed = _seed(args, doc, 0)
-    out = Path(args.out if args.out is not None else doc.get("out", "sweep.csv"))
+    out = _out(args, doc, "sweep.csv")
     dims = doc.get("dims")
     if (not dims or not isinstance(dims, list)
             or not all(_number(d, "dims", int) >= 1 for d in dims)):
         raise ConfigError("dims must be a nonempty list of positive integers")
+    if len({int(d) for d in dims}) == 1 < len(dims):
+        raise ConfigError("dims must hold two different dimensions to fit a slope")
     sigma2 = _positive(doc, "sigma2", "sweep config", default=1.0)
     n = _number(doc.get("samples_per_dim", 100_000), "samples_per_dim", int)
     if n < 2:
         raise ConfigError("samples_per_dim must be at least 2")
     delta = _number(doc.get("delta", 1.0), "delta")
 
-    rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, RngStream(seed), delta)
+    try:
+        rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, RngStream(seed), delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     lines = ["d,quantity,value,se"]
     for d, var, var_se in rows:
         lines.append(f"{d},variance,{_format_float(var)},{_format_float(var_se)}")
@@ -428,10 +454,12 @@ def cmd_spike_demo(args) -> int:
     doc, config_dir = _load_config(args.config)
     _check_keys(doc, _SPIKE_KEYS, "spike-demo config")
     seed = _seed(args, doc, 0)
-    out = Path(args.out if args.out is not None else doc.get("out", "spikes.csv"))
+    out = _out(args, doc, "spikes.csv")
     topology_path = doc.get("topology")
     if topology_path is None:
         raise ConfigError("missing field 'topology' in spike-demo config")
+    if not isinstance(topology_path, str):
+        raise ConfigError(f"field 'topology' must be a path, not {topology_path!r}")
     topo_file = Path(topology_path)
     if not topo_file.is_absolute() and config_dir is not None:
         topo_file = config_dir / topo_file
@@ -480,7 +508,7 @@ def cmd_spike_demo(args) -> int:
     if reward_delta is not None:
         reward_delta = _number(reward_delta, "reward_delta")
     alpha = _number(doc.get("alpha", 1.0), "alpha")
-    plasticity = bool(doc.get("plasticity", True))
+    plasticity = _flag(doc, "plasticity", True)
     lam = None
     if doc.get("transform") is not None:
         tdoc = doc["transform"]
@@ -502,6 +530,7 @@ def cmd_spike_demo(args) -> int:
         return f"{x:.12g}"
 
     current = dict(weights)
+    failed = None
     for t in range(trials):
         drawn = gen.uniform(-a, a, size=len(edges))
         offsets = {e: float(drawn[i]) for i, e in enumerate(edges)}
@@ -541,8 +570,16 @@ def cmd_spike_demo(args) -> int:
             current = updated
         for e in edges:
             lines.append(f"{t},{e[0]}->{e[1]},weight,{fmt(current[e])}")
+        # the next trial needs positive weights; the rows so far are kept
+        failed = next((e for e in edges if not current[e] > 0), None)
+        if failed is not None:
+            break
 
     _write_text(out, "\n".join(lines) + "\n")
+    if failed is not None:
+        print(f"spike-demo failed at trial {t}: plasticity left edge {failed[0]}->{failed[1]} "
+              f"with weight {current[failed]!r}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,10 +23,11 @@ multiplicative one. Its loss history keeps ``strategy.memory`` entries.
 
 Every step function advances one iterate of shape (d,) or a batch of R
 independent replicate iterates of shape (R, d) in one call, and takes its
-noise rows as an argument instead of drawing them. run_optimizer draws
+noise rows as an argument instead of drawing them. run_methods draws
 each replicate's rows from its own substream and runs all replicates of a
 method as one batch. Row i of a batch moves bit for bit as the single
-iterate with row i's noise would.
+iterate with row i's noise would. A replicate's data stream is generated
+once and serves every method.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "TraceRow",
     "ReplicateTrace",
     "run_replicate",
+    "run_methods",
     "run_optimizer",
     "METHODS",
 ]
@@ -73,7 +75,7 @@ class PositivityError(RuntimeError):
 
 
 class OptimizerStepError(RuntimeError):
-    """A step failed inside run_optimizer; carries the iteration index."""
+    """A step failed inside run_methods; carries the iteration index."""
 
     def __init__(self, message: str, iteration: int, partial=None):
         super().__init__(message)
@@ -454,17 +456,26 @@ def _step(config: RunConfig, state, loss, sample, noise):
                                  clamp=config.clamp)
 
 
+def _samples(stream: DataStream | None, n: int, base, replicate: int) -> list:
+    """The n + 1 data samples of one replicate, or n + 1 Nones without a stream."""
+    if stream is None:
+        return [None] * (n + 1)
+    return generate_stream(stream, n + 1, base.substream(_SUB_DATA, replicate).generator())
+
+
 def _run_batch(loss, config: RunConfig, base, replicates: list,
-               stream: DataStream | None) -> list[ReplicateTrace]:
+               samples: list) -> list[ReplicateTrace]:
     """Advance the given replicates of one method together as one (R, d) batch.
 
-    Each replicate keeps its own substreams, so its trace is the one it
-    would have run alone. A data stream belongs to one replicate, so a batch
-    with a stream holds one replicate. A replicate whose iterate turns
-    non-finite leaves the batch with its rows padded. If a step fails, the
-    lowest failing replicate decides the outcome, as if the replicates had
-    run one after another: the ones before it run to the end and the ones
-    after it are dropped.
+    ``samples`` holds the n + 1 data samples the batch sees, the first for
+    the starting point; run_methods generates them once per batch and hands
+    the same list to every method. Each replicate keeps its own substreams,
+    so its trace is the one it would have run alone. A data stream belongs
+    to one replicate, so a batch with a stream holds one replicate. A
+    replicate whose iterate turns non-finite leaves the batch with its rows
+    padded. If a step fails, the lowest failing replicate decides the
+    outcome, as if the replicates had run one after another: the ones
+    before it run to the end and the ones after it are dropped.
     """
     n, dim, method = config.iterations, config.dim, config.method
     gens = [base.substream(_SUB_NOISE, _METHOD_IDS[method], r).generator() for r in replicates]
@@ -473,11 +484,6 @@ def _run_batch(loss, config: RunConfig, base, replicates: list,
     else:
         theta0 = np.stack([base.substream(_SUB_INIT, r).generator().standard_normal(dim)
                            for r in replicates])
-    if stream is not None:
-        samples = generate_stream(stream, n + 1,
-                                  base.substream(_SUB_DATA, replicates[0]).generator())
-    else:
-        samples = [None] * (n + 1)
 
     noise = None
     if method == "one-point":
@@ -560,14 +566,15 @@ def _run_batch(loss, config: RunConfig, base, replicates: list,
 
 def run_replicate(loss, config: RunConfig, base, replicate: int,
                   stream: DataStream | None = None) -> ReplicateTrace:
-    """Run one replicate of one method; see run_optimizer for the contract."""
-    return _run_batch(loss, config, base, [replicate], stream)[0]
+    """Run one replicate of one method; see run_methods for the contract."""
+    samples = _samples(stream, config.iterations, base, replicate)
+    return _run_batch(loss, config, base, [replicate], samples)[0]
 
 
-def run_optimizer(loss: LossFunction, config: RunConfig, base,
-                  replicates: int = 1,
-                  stream: DataStream | None = None) -> list[ReplicateTrace]:
-    """Run ``replicates`` independent trajectories of one method.
+def run_methods(loss: LossFunction, configs: list[RunConfig], base,
+                replicates: int = 1,
+                stream: DataStream | None = None) -> list[ReplicateTrace]:
+    """Run ``replicates`` independent trajectories of each config's method.
 
     ``base`` is the RngStream whose substreams supply initialization, data,
     and method noise. The initialization and data substreams depend only on
@@ -576,27 +583,61 @@ def run_optimizer(loss: LossFunction, config: RunConfig, base,
     substream. Iterate divergence to non-finite values ends the trajectory
     and the remaining rows are recorded with infinite loss.
 
-    The replicates advance together as one batch. With a data stream they
-    run one at a time instead, so that only one replicate's samples are
-    held at once. Either way every trace is bit for bit the one the
-    replicate gives alone. A failing step raises OptimizerStepError whose
-    ``partial`` holds the traces of the replicates before the failing one
-    and the failing one's rows up to the failure.
+    The replicates of a method advance together as one batch. With a data
+    stream they run one at a time instead, and every method runs on one
+    replicate's samples before the next replicate's are generated, so each
+    stream is generated once and only one is held at a time; the methods
+    must then share ``iterations``. Either way every trace is bit for bit
+    the one the replicate gives alone, and the traces come back method by
+    method in the order of ``configs``, each method's replicates in order.
+
+    A failing step raises OptimizerStepError with the outcome of running
+    the methods one after another: the lowest failing method decides, and
+    ``partial`` holds every trace of the methods before it, then the traces
+    of its replicates before the failing one and the failing one's rows up
+    to the failure.
 
     For 'stdp-mult' the trace's theta_norm column holds the norm of
     log(weights), the quantity comparable across parametrizations.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    n = max((config.iterations for config in configs), default=0)
+    if stream is not None and any(config.iterations != n for config in configs):
+        raise ValueError("methods that share a data stream must run the same iterations")
     if stream is not None:
         batches = [[r] for r in range(replicates)]
     else:
         batches = [list(range(replicates))]
-    traces = []
+    per_method = [[] for _ in configs]
+    failure = None          # the error of the lowest failing method so far
+    running = len(configs)  # methods after a failing one are never run again
     for batch in batches:
-        try:
-            traces += _run_batch(loss, config, base, batch, stream)
-        except OptimizerStepError as exc:
-            exc.partial = traces + exc.partial
-            raise
+        if not running:
+            break
+        samples = _samples(stream, n, base, batch[0])
+        for m in range(running):
+            try:
+                per_method[m] += _run_batch(loss, configs[m], base, batch, samples)
+            except OptimizerStepError as exc:
+                per_method[m] += exc.partial
+                failure, running = exc, m
+                break
+        # release this stream before the next one is generated
+        del samples
+    kept = per_method if failure is None else per_method[:running + 1]
+    traces = [trace for method_traces in kept for trace in method_traces]
+    if failure is not None:
+        failure.partial = traces
+        raise failure
     return traces
+
+
+def run_optimizer(loss: LossFunction, config: RunConfig, base,
+                  replicates: int = 1,
+                  stream: DataStream | None = None) -> list[ReplicateTrace]:
+    """Run ``replicates`` independent trajectories of one method.
+
+    This is run_methods with the one config; see there for the contract.
+    """
+    return run_methods(loss, [config], base, replicates, stream)

@@ -391,6 +391,10 @@ def check_zero_mean_prev(loss: LossFunction, theta_prev, half_interval: float,
 # variance scaling
 
 
+# var ** 2 below overflows above this
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(np.float64).max)
+
+
 def variance_scaling_sweep(dims, sigma2: float, n: int, rng: RngStream,
                            delta: float = 1.0):
     """Per-coordinate variance of the scaled one-point product across dims.
@@ -412,16 +416,21 @@ def variance_scaling_sweep(dims, sigma2: float, n: int, rng: RngStream,
         values = np.empty(n)
         filled = 0
         chunk_rows = max(1, 4_000_000 // d)
-        while filled < n:
-            m = min(chunk_rows, n - filled)
-            xi = gen.normal(0.0, sd, size=(m, d))
-            residual = gap - xi
-            loss_vals = np.einsum("ij,ij->i", residual, residual)
-            values[filled:filled + m] = loss_vals * xi[:, 0] / sigma2
-            filled += m
-        var = float(values.var(ddof=1))
-        centered = values - values.mean()
-        m4 = float(np.mean(centered ** 4))
+        # an extreme sigma2 or delta overflows; that is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            while filled < n:
+                m = min(chunk_rows, n - filled)
+                xi = gen.normal(0.0, sd, size=(m, d))
+                residual = gap - xi
+                loss_vals = np.einsum("ij,ij->i", residual, residual)
+                values[filled:filled + m] = loss_vals * xi[:, 0] / sigma2
+                filled += m
+            var = float(values.var(ddof=1))
+            centered = values - values.mean()
+            m4 = float(np.mean(centered ** 4))
+        if not (math.isfinite(m4) and var < _SQRT_FLOAT_MAX):
+            raise ValueError(f"the variance at d={d} leaves the floating-point range "
+                             f"(sigma2={sigma2!r}, delta={delta!r})")
         var_se = math.sqrt(max(m4 - var ** 2, 0.0) / n)
         rows.append((d, var, var_se))
     if len(dims) < 2:

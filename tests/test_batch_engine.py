@@ -6,6 +6,10 @@ the step. The engine
 advances all replicates of a method as one (R, d) batch and must give the
 same traces bit for bit, including divergence padding and the outcome of a
 failing step.
+
+``methods_one_by_one`` is the reference for several methods: each runs to
+the end before the next starts. run_methods shares each replicate's data
+stream between the methods and must give the same traces and failure.
 """
 
 import math
@@ -39,6 +43,7 @@ from spikezero.optimizers import (
     gd_step,
     init_state,
     one_point_step,
+    run_methods,
     run_optimizer,
     stdp_multiplicative_step,
     stdp_zo_step,
@@ -251,3 +256,125 @@ def test_batch_positivity_error_names_first_failing_row_and_keeps_state():
     assert info.value.row == 1
     assert state.iteration == 0
     np.testing.assert_array_equal(state.theta, np.ones((3, 1)))
+
+
+def methods_one_by_one(loss, configs, base, replicates, stream):
+    """(traces, failure message or None) of the methods run one after another."""
+    traces = []
+    for config in configs:
+        try:
+            traces += run_optimizer(loss, config, base, replicates, stream)
+        except OptimizerStepError as exc:
+            return traces + exc.partial, str(exc)
+    return traces, None
+
+
+def assert_same_traces(traces, expected):
+    assert [(t.method, t.replicate, t.diverged_at) for t in traces] == [
+        (t.method, t.replicate, t.diverged_at) for t in expected]
+    for trace, other in zip(traces, expected):
+        assert bits([trace.initial_loss, trace.initial_norm]) == bits(
+            [other.initial_loss, other.initial_norm])
+        assert bits(trace.loss) == bits(other.loss)
+        assert bits(trace.theta_norm) == bits(other.theta_norm)
+
+
+def run_counting_streams(loss, configs, base, replicates, stream):
+    """(traces, failure message or None, generate_stream calls) of run_methods."""
+    with mock.patch.object(optimizers, "generate_stream", wraps=generate_stream) as generate:
+        try:
+            traces, message = run_methods(loss, configs, base, replicates, stream), None
+        except OptimizerStepError as exc:
+            traces, message = exc.partial, str(exc)
+    return traces, message, generate.call_count
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_shared_stream_equals_methods_run_one_by_one(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    # a method may repeat with another step size, so a lower method can
+    # fail at a later replicate than a higher one
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(METHODS),
+                                         st.sampled_from([0.01, 0.05, 0.3, 2.0])),
+                               min_size=1, max_size=4), label="methods")
+    iterations = data.draw(st.integers(0, 30), label="iterations")
+    strategy = data.draw(st.sampled_from(STRATEGIES), label="strategy")
+    configs = [RunConfig(method=method, dim=dim, iterations=iterations,
+                         schedule=LearningRateSchedule.constant(alpha), strategy=strategy,
+                         noise=NoiseConfig(0.5, dim), gaussian=GaussianNoiseConfig(0.1))
+               for method, alpha in steps]
+    stream = data.draw(st.sampled_from([
+        None, DataStream("linear-gaussian", theta_star=np.full(dim, 2.0), noise_sd=0.3)]),
+        label="stream")
+    replicates = data.draw(st.integers(1, 5), label="replicates")
+    base = RngStream(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    loss = LinearModelLoss() if stream is not None else LeastSquaresLoss(np.full(dim, 2.0))
+
+    traces, message, generated = run_counting_streams(loss, configs, base, replicates, stream)
+    expected, expected_message = methods_one_by_one(loss, configs, base, replicates, stream)
+    assert message == expected_message
+    assert_same_traces(traces, expected)
+    # one stream per replicate that ran, whatever the number of methods
+    assert generated == (len({t.replicate for t in traces}) if stream is not None else 0)
+    event("step failed" if message else "ran to the end")
+    if message and traces[-1].method != configs[-1].method:
+        event("a method before the last failed")
+
+
+def test_middle_method_failing_at_middle_replicate_matches_one_by_one():
+    # seed 13: stdp-mult fails at replicate 2, iteration 10; stdp-zo never runs
+    stream = DataStream("linear-gaussian", theta_star=[1.0, -0.5, 2.0], noise_sd=0.3)
+    configs = [RunConfig(method=method, dim=3, iterations=30,
+                         schedule=LearningRateSchedule.constant(0.02),
+                         noise=NoiseConfig(0.5, 3), gaussian=GaussianNoiseConfig(0.1))
+               for method in ("gd", "stdp-mult", "stdp-zo")]
+    loss, base = LinearModelLoss(), RngStream(13)
+    traces, message, generated = run_counting_streams(loss, configs, base, 4, stream)
+    expected, expected_message = methods_one_by_one(loss, configs, base, 4, stream)
+    assert message == expected_message
+    assert message.startswith("iteration 10:")
+    assert_same_traces(traces, expected)
+    assert [(t.method, t.replicate, len(t.loss)) for t in traces] == [
+        ("gd", 0, 30), ("gd", 1, 30), ("gd", 2, 30), ("gd", 3, 30),
+        ("stdp-mult", 0, 30), ("stdp-mult", 1, 30), ("stdp-mult", 2, 9)]
+    # gd still needs replicate 3's stream after stdp-mult has failed
+    assert generated == 4
+
+
+def test_lower_method_failing_at_a_later_replicate_decides():
+    # the second config fails at replicate 0 and the first only at
+    # replicate 2; one after another, the first fails before the second runs
+    stream = DataStream("linear-gaussian", theta_star=[1.0, -0.5, 2.0], noise_sd=0.3)
+    configs = [RunConfig(method="stdp-mult", dim=3, iterations=30,
+                         schedule=LearningRateSchedule.constant(alpha), noise=NoiseConfig(0.5, 3))
+               for alpha in (0.02, 2.0)]
+    loss, base = LinearModelLoss(), RngStream(13)
+    traces, message, _ = run_counting_streams(loss, configs, base, 4, stream)
+    expected, expected_message = methods_one_by_one(loss, configs, base, 4, stream)
+    assert message == expected_message
+    assert message.startswith("iteration 10:")
+    assert_same_traces(traces, expected)
+    assert [len(t.loss) for t in traces] == [30, 30, 9]
+
+
+def test_stream_generated_once_per_replicate_for_all_methods():
+    stream = DataStream("linear-gaussian", theta_star=[0.5, 0.5], noise_sd=0.1)
+    configs = [RunConfig(method=method, dim=2, iterations=5,
+                         schedule=LearningRateSchedule.constant(1e-3),
+                         noise=NoiseConfig(0.2, 2), gaussian=GaussianNoiseConfig(0.01))
+               for method in METHODS]
+    traces, message, generated = run_counting_streams(LinearModelLoss(), configs,
+                                                      RngStream(5), 3, stream)
+    assert message is None
+    assert [(t.method, t.replicate) for t in traces] == [
+        (method, r) for method in METHODS for r in range(3)]
+    assert generated == 3
+
+
+def test_methods_sharing_a_stream_must_share_iterations():
+    stream = DataStream("linear-gaussian", theta_star=[1.0], noise_sd=0.0)
+    configs = [RunConfig(method="gd", dim=1, iterations=n,
+                         schedule=LearningRateSchedule.constant(0.1)) for n in (3, 4)]
+    with pytest.raises(ValueError, match="same iterations"):
+        run_methods(LinearModelLoss(), configs, RngStream(1), 2, stream)

@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spikezero.cli import main
 
@@ -248,6 +253,18 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("verify", {"checks": ["normalizer"], "samples": {"normalizer": "x"}}, "samples.normalizer"),
     ("sweep", {"dims": ["a"]}, "dims"),
     ("spike-demo", {"trials": "x"}, "trials"),
+    ("optimize", {"clamp": "false"}, "clamp"),
+    ("optimize", {"sigma2": 1e400}, "sigma2"),
+    ("spike-demo", {"plasticity": "false"}, "plasticity"),
+    ("spike-demo", {"params": 5}, "params"),
+    ("spike-demo", {"readout": 5}, "readout"),
+    ("spike-demo", {"transform": 5}, "transform"),
+    ("spike-demo", {"topology": 10}, "topology"),
+    ("verify", {"checks": 5}, "checks"),
+    ("verify", {"checks": ["stein"], "samples": {"stein": 5}}, "stein"),
+    ("verify", {"checks": ["mean-step"], "half_interval": 800}, "mean-step"),
+    ("sweep", {"dims": [2, 2]}, "dims"),
+    ("sweep", {"dims": [2, 4], "samples_per_dim": 20, "sigma2": 1e-300}, "sigma2"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -259,6 +276,14 @@ def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "sweep", "spike-demo"])
+@pytest.mark.parametrize("out", [None, 5, ""])
+def test_output_path_that_is_not_a_path_exits_two(tmp_path, capsys, command, out):
+    cfg = write_config(tmp_path, "bad.json", {**FUZZ_BASES[command], "out": out})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: field 'out'")
 
 
 def test_optimize_requires_config(capsys):
@@ -365,12 +390,98 @@ def test_spike_demo_cyclic_topology_exits_two(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_spike_demo_nonpositive_weight_exits_one_with_rows_so_far(tmp_path, capsys):
+    # a large reward drives a weight below zero in the first trial
+    cfg = write_config(tmp_path, "demo.json", {
+        **FUZZ_BASES["spike-demo"], "reward_delta": 100.0, "out": str(tmp_path / "x.csv")})
+    assert main(["spike-demo", "--config", cfg]) == 1
+    assert "trial 0: plasticity left edge 1->3 with weight -" in capsys.readouterr().err
+    rows = read_rows(tmp_path / "x.csv")
+    assert {r["trial"] for r in rows} == {"0"}
+    assert float([r for r in rows if r["edge_or_neuron"] == "1->3"
+                  and r["kind"] == "weight"][0]["value"]) < 0
+
+
 def test_spike_demo_rerun_is_byte_identical(tmp_path, configs_dir):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = str(configs_dir / "spike_demo.json")
     assert main(["spike-demo", "--config", cfg, "--out", str(a)]) == 0
     assert main(["spike-demo", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer
+
+
+TOPOLOGY = REPO_ROOT / "configs" / "topology_3in1out.json"
+
+# small valid configs; one field of each is replaced or added per example
+FUZZ_BASES = {
+    "optimize": {
+        "methods": ["gd", "one-point", "stdp-zo", "stdp-mult"],
+        "loss": {"kind": "least-squares", "target": {"fill": 1.0}},
+        "dim": 3, "iterations": 10, "replicates": 2, "seed": 3,
+        "schedule": {"kind": "constant", "alpha0": 0.01}, "strategy": {"kind": "previous"},
+        "half_interval": 0.5, "sigma2": 1.0, "theta0": {"fill": 0.0}, "clamp": False,
+        "out": "trace.csv"},
+    "verify": {"checks": ["normalizer", "mean-step", "divergence"], "seed": 1,
+               "half_interval": 1.0, "samples": {"mean-step": 20_000}, "out": "report.json"},
+    "sweep": {"dims": [2, 4], "sigma2": 1.0, "samples_per_dim": 20, "delta": 1.0, "seed": 1,
+              "out": "sweep.csv"},
+    "spike-demo": {
+        "topology": str(TOPOLOGY), "trials": 3, "seed": 1,
+        "params": {"decay": 1.0, "amplitude": 0.5, "threshold": 1.0, "half_interval": 0.25},
+        "weights": {"fill": 0.6}, "input_vector": [0.0, 0.0, 0.0], "input_scale": 1.0,
+        "input_offset": 0.0, "readout": {"scale": 1.0, "offset": 0.0, "sentinel": 1e6},
+        "reward_delta": 0.1, "alpha": 0.1, "plasticity": True, "out": "spikes.csv"},
+}
+FUZZ_KEYS = {"optimize": ["memory"], "verify": [], "sweep": [],
+             "spike-demo": ["transform"]}
+# names the config parser knows; no check name with a costly default sample count
+FUZZ_WORDS = ["kind", "fill", "target", "power", "alpha0", "memory", "decay", "theta_star",
+              "noise_sd", "lam", "scale", "offset", "sentinel", "threshold", "amplitude",
+              "half_interval", "least-squares", "linear-gaussian", "constant", "previous",
+              "zero", "exponential", "polynomial", "gd", "one-point", "stdp-zo", "stdp-mult",
+              "normalizer", "density-mass", "mean-step", "divergence", "false", "1e400", "nan",
+              ""]
+# no path separators: a fuzzed output path stays in the working directory
+fuzz_text = st.text(alphabet="ab.-_ 0", max_size=4)
+# magnitudes stay small, so no fuzzed size asks for much memory or time
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20)
+    | st.floats(-50, 50) | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e-320])
+    | st.sampled_from(FUZZ_WORDS) | fuzz_text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(FUZZ_WORDS) | fuzz_text, inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def run_fuzzed(command: str, key: str, value, workdir: Path):
+    """Exit code and stderr of ``command`` on its base config with ``key`` set to ``value``."""
+    cfg = write_config(workdir, "fuzz.json", {**FUZZ_BASES[command], key: value})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", cfg])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_field_exits_cleanly(tmp_path, monkeypatch, command, data):
+    # relative output paths land in the test's directory
+    monkeypatch.chdir(tmp_path)
+    key = data.draw(st.sampled_from(sorted(FUZZ_BASES[command]) + FUZZ_KEYS[command])
+                    | fuzz_text, label="key")
+    value = data.draw(json_values, label="value")
+    code, err = run_fuzzed(command, key, value, tmp_path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
