@@ -41,6 +41,7 @@ from .spiking import (
     interarrival_time,
     load_topology,
     next_spike_time,
+    plasticity_update,
     potential,
     run_trial,
     stdp_update,

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,13 @@ from .optimizers import (
     run_replicate,  # noqa: F401 -- importable from here for perfbench/layertrace.py
 )
 from .perturbation import NoiseConfig
-from .spiking import KernelParams, load_topology, run_trial, stdp_update
+from .spiking import (
+    KernelParams,
+    load_topology,
+    plasticity_update,
+    run_trial,
+    stdp_update,  # noqa: F401 -- importable from here for perfbench/layertrace.py
+)
 from .verification import (
     DEFAULT_HALF_INTERVALS,
     check_componentwise,
@@ -487,8 +494,8 @@ def cmd_spike_demo(args) -> int:
 
     edges = topology.edges
     weight_vec = _vector(doc.get("weights", {"fill": 1.0}), len(edges), "weights")
-    if np.any(weight_vec <= 0):
-        raise ConfigError("weights must be positive")
+    if not np.all((weight_vec > 0) & (weight_vec < math.inf)):
+        raise ConfigError("weights must be positive and finite")
     weights = {e: float(weight_vec[i]) for i, e in enumerate(edges)}
 
     input_vec = _vector(doc.get("input_vector", {"fill": 0.0}), len(topology.inputs),
@@ -524,56 +531,46 @@ def cmd_spike_demo(args) -> int:
 
     a = params.half_interval
     gen = RngStream(seed).substream(0).generator()
+    log_lam = None if lam is None else {e: math.log(v) for e, v in lam.items()}
+    # a trial's rows are written at once from one "%.12g" template per row,
+    # which gives the bytes of f"{x:.12g}"; "{t}" stands for the trial number
+    labels = [f"{i}->{j}" for i, j in edges]
+    arrival_rows = [f"{{t}},{label},arrival,%.12g" for label in labels]
+    firing_rows = [f"{{t}},{nid},firing,%.12g" for nid in range(topology.n_neurons)]
+    readout_row = f"{{t}},{topology.outputs[0]},readout,%.12g"
+    weight_rows = [f"{{t}},{label},weight,%.12g" for label in labels]
     lines = ["trial,edge_or_neuron,kind,value"]
-
-    def fmt(x: float) -> str:
-        return f"{x:.12g}"
 
     current = dict(weights)
     failed = None
     for t in range(trials):
-        drawn = gen.uniform(-a, a, size=len(edges))
-        offsets = {e: float(drawn[i]) for i, e in enumerate(edges)}
+        offsets = dict(zip(edges, gen.uniform(-a, a, size=len(edges)).tolist()))
         if lam is not None:
             use_weights = {e: lam[e] * current[e] for e in edges}
-            use_offsets = {e: offsets[e] - math.log(lam[e]) for e in edges}
+            use_offsets = {e: offsets[e] - log_lam[e] for e in edges}
         else:
             use_weights = current
             use_offsets = offsets
         record = run_trial(topology, use_weights, input_times, params,
                            offsets=use_offsets, readout_scale=readout_scale,
                            readout_offset=readout_offset, sentinel=sentinel)
-        for e in edges:
-            if e in record.arrivals:
-                lines.append(f"{t},{e[0]}->{e[1]},arrival,{fmt(record.arrivals[e])}")
-        for nid in range(topology.n_neurons):
-            ft = record.firing.get(nid)
-            if ft is not None:
-                lines.append(f"{t},{nid},firing,{fmt(ft)}")
-        lines.append(f"{t},{record.output_neuron},readout,{fmt(record.readout)}")
-
         if plasticity:
-            updated = dict(current)
-            for (i, j) in edges:
-                t_plus = record.firing.get(j)
-                if t_plus is None or (i, j) not in record.arrivals:
-                    continue
-                t_minus = t_plus - 2.0 * a
-                tau = t_minus + a + offsets[(i, j)]
-                w = current[(i, j)]
-                new_w = stdp_update(w, tau, t_minus, t_plus, params)
-                if reward_delta is not None:
-                    modulated = stdp_update(w, tau, t_minus, t_plus, params,
-                                            reward_delta=reward_delta, alpha=alpha)
-                    new_w += modulated - w
-                updated[(i, j)] = new_w
-            current = updated
-        for e in edges:
-            lines.append(f"{t},{e[0]}->{e[1]},weight,{fmt(current[e])}")
-        # the next trial needs positive weights; the rows so far are kept
-        failed = next((e for e in edges if not current[e] > 0), None)
-        if failed is not None:
-            break
+            current = plasticity_update(topology, current, record, params,
+                                        reward_delta=reward_delta, alpha=alpha)
+
+        arrived = [e in record.arrivals for e in edges]
+        spiked = sorted(nid for nid, ft in record.firing.items() if ft is not None)
+        rows = [*compress(arrival_rows, arrived), *map(firing_rows.__getitem__, spiked),
+                readout_row, *weight_rows]
+        values = (*map(record.arrivals.__getitem__, compress(edges, arrived)),
+                  *map(record.firing.__getitem__, spiked), record.readout,
+                  *map(current.__getitem__, edges))
+        lines.append("\n".join(rows).replace("{t}", str(t)) % values)
+        if plasticity:
+            # the next trial needs positive, finite weights; the rows so far are kept
+            failed = next((e for e in edges if not 0 < current[e] < math.inf), None)
+            if failed is not None:
+                break
 
     _write_text(out, "\n".join(lines) + "\n")
     if failed is not None:

@@ -15,6 +15,13 @@ deliberately:
 The second form is what makes the learning rule a zero-order method: the
 whole downstream readout is a function of w * e^U, so weight information
 travels only through spike times.
+
+A :class:`Topology` precomputes each neuron's incoming edges once, so a
+trial costs O(E) rather than a scan of the edge list per neuron.
+:func:`plasticity_update` applies one trial's plasticity to every edge with
+one kernel evaluation per edge, from which both the unsupervised and the
+reward-modulated change follow; :func:`stdp_update` is the same rule for a
+single edge.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import graphlib
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,6 +44,7 @@ __all__ = [
     "stdp_update",
     "TrialRecord",
     "run_trial",
+    "plasticity_update",
 ]
 
 NO_FIRE_READOUT = 1e6
@@ -82,6 +91,12 @@ class Topology:
         except graphlib.CycleError as exc:
             raise ValueError(f"topology contains a directed cycle: {exc.args[1]}") from exc
         object.__setattr__(self, "_order", order)
+        # per neuron, its incoming edges as (edge index, parent) in edge order
+        fan_in = [[] for _ in ids]
+        for k, (i, j) in enumerate(edges):
+            fan_in[j].append((k, i))
+        object.__setattr__(self, "_fan_in", tuple(map(tuple, fan_in)))
+        object.__setattr__(self, "_input_set", frozenset(inputs))
 
     @property
     def order(self) -> tuple:
@@ -89,7 +104,9 @@ class Topology:
         return self._order
 
     def parents(self, j: int) -> list:
-        return [i for i, k in self.edges if k == j]
+        if not 0 <= j < self.n_neurons:
+            return []
+        return [i for _, i in self._fan_in[j]]
 
 
 def load_topology(path) -> Topology:
@@ -152,7 +169,7 @@ def next_spike_time(arrivals, threshold: float, decay: float = 1.0) -> float | N
     Between arrivals the potential only decays, so crossings can only
     happen at arrival instants.
     """
-    ordered = sorted(arrivals, key=lambda wt: wt[1])
+    ordered = sorted(arrivals, key=itemgetter(1))
     level = 0.0
     prev_t = None
     for w, tau in ordered:
@@ -183,12 +200,47 @@ def interarrival_time(weights, offsets, threshold: float) -> float:
         raise ValueError("weights must be positive")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    drive = float(np.sum(w * np.exp(u)))
+    drive = _drive(w, u)
     if drive < threshold:
         raise ValueError(
             f"total drive {drive:g} below threshold {threshold:g}: neuron does not fire"
         )
     return 2.0 * math.log(drive / threshold)
+
+
+def _drive(weights, offsets) -> float:
+    """sum_i w_i e^{U_i}; a sum past the float range is inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(np.asarray(weights) * np.exp(np.asarray(offsets))))
+
+
+def _kernels(weights, arrivals, t_minus, t_plus, decay: float) -> tuple:
+    """Depression and potentiation kernels e^{-c(tau - T-)} and e^{-c(T+ - tau)},
+    elementwise over float64 arrays of presynaptic spikes.
+
+    Each exponential is ``math.exp``'s value: ``np.exp`` differs from it in
+    the last bit for a few percent of arguments.
+    """
+    inside = (t_minus <= arrivals) & (arrivals <= t_plus)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"arrival {arrivals[k]:g} outside postsynaptic window "
+                         f"[{t_minus[k]:g}, {t_plus[k]:g}]")
+    if np.any(weights <= 0):
+        raise ValueError("weight must be positive")
+    depress = np.array(list(map(math.exp, (-decay * (arrivals - t_minus)).tolist())))
+    potentiate = np.array(list(map(math.exp, (-decay * (t_plus - arrivals)).tolist())))
+    return depress, potentiate
+
+
+def _stdp_step(weight, gain: float, amplitude: float, depress, potentiate):
+    """w + gain * w * C * (depress - potentiate).
+
+    The reward-modulated rule has gain alpha * reward_delta; the
+    unsupervised rule is the same step with gain -1, and equals
+    w + w * C * (-depress + potentiate) bit for bit, since negation is exact.
+    """
+    return weight + gain * weight * amplitude * (depress - potentiate)
 
 
 def stdp_update(weight: float, arrival: float, t_minus: float, t_plus: float,
@@ -204,19 +256,15 @@ def stdp_update(weight: float, arrival: float, t_minus: float, t_plus: float,
     loss-difference ``reward_delta`` the change is sign-flipped and scaled,
     w += alpha * reward_delta * w * C * (e^{-c(tau - T-)} - e^{-c(T+ - tau)}),
     so that a worse-than-anticipated outcome pushes the weight the other way.
+    This is :func:`plasticity_update`'s rule for one edge, computed the same way.
     """
-    if not t_minus <= arrival <= t_plus:
-        raise ValueError(
-            f"arrival {arrival:g} outside postsynaptic window [{t_minus:g}, {t_plus:g}]"
-        )
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    c = params.decay
-    depress = math.exp(-c * (arrival - t_minus))
-    potentiate = math.exp(-c * (t_plus - arrival))
-    if reward_delta is None:
-        return weight + weight * params.amplitude * (-depress + potentiate)
-    return weight + alpha * reward_delta * weight * params.amplitude * (depress - potentiate)
+    w, tau, t_lo, t_hi = (np.array([x], dtype=np.float64)
+                          for x in (weight, arrival, t_minus, t_plus))
+    gain = -1.0 if reward_delta is None else alpha * reward_delta
+    # float64 arrays round as Python floats do, and overflow as silently
+    with np.errstate(all="ignore"):
+        depress, potentiate = _kernels(w, tau, t_lo, t_hi, params.decay)
+        return float(_stdp_step(w, gain, params.amplitude, depress, potentiate)[0])
 
 
 @dataclass
@@ -249,12 +297,10 @@ def run_trial(topology: Topology, weights: dict, input_times: dict,
     get the ``sentinel`` readout so a loss is always defined.
     """
     edge_list = topology.edges
-    missing = [e for e in edge_list if e not in weights]
-    if missing:
-        raise ValueError(f"missing weight for edge {missing[0]}")
-    for e in edge_list:
-        if weights[e] <= 0:
-            raise ValueError(f"weight for edge {e} must be positive")
+    w = _by_edge(weights, edge_list, "weight")
+    bad = next((e for e, x in zip(edge_list, w) if x <= 0), None)
+    if bad is not None:
+        raise ValueError(f"weight for edge {bad} must be positive")
     for i in topology.inputs:
         if i not in input_times:
             raise ValueError(f"missing input spike time for neuron {i}")
@@ -263,44 +309,86 @@ def run_trial(topology: Topology, weights: dict, input_times: dict,
     if offsets is None:
         if gen is None:
             raise ValueError("run_trial needs a generator unless offsets are forced")
-        drawn = gen.uniform(-a, a, size=len(edge_list))
-        offsets = {e: float(drawn[idx]) for idx, e in enumerate(edge_list)}
+        u = gen.uniform(-a, a, size=len(edge_list)).tolist()
+        offsets = dict(zip(edge_list, u))
     else:
-        missing = [e for e in edge_list if e not in offsets]
-        if missing:
-            raise ValueError(f"missing offset for edge {missing[0]}")
+        u = _by_edge(offsets, edge_list, "offset")
 
-    firing: dict = {}
-    arrivals: dict = {}
-    fired_edges = []
+    # the walk runs on edge indices: w, u and each neuron's fan-in are lists
+    # and tuples in edge order, and the dicts of the record are built once
+    fan_in, inputs = topology._fan_in, topology._input_set
+    threshold, decay = params.threshold, params.decay
+    times = [None] * topology.n_neurons
+    arrival = {}                   # edge index -> arrival time, in delivery order
     for j in topology.order:
-        if j in topology.inputs:
+        if j in inputs:
             assigned = input_times[j]
-            firing[j] = None if assigned is None else float(assigned)
+            times[j] = None if assigned is None else float(assigned)
             continue
         incoming = []
-        for i in topology.parents(j):
-            if firing.get(i) is None:
+        for k, i in fan_in[j]:
+            fired = times[i]
+            if fired is None:
                 continue
-            e = (i, j)
-            arrivals[e] = firing[i] + offsets[e]
-            fired_edges.append(e)
-            incoming.append((weights[e], arrivals[e]))
-        firing[j] = (next_spike_time(incoming, params.threshold, params.decay)
-                     if incoming else None)
+            tau = fired + u[k]
+            arrival[k] = tau
+            incoming.append((w[k], tau))
+        times[j] = next_spike_time(incoming, threshold, decay) if incoming else None
 
     out = topology.outputs[0]
-    live = [(i, out) for i in topology.parents(out) if firing.get(i) is not None]
+    live = [k for k, i in fan_in[out] if times[i] is not None]
     output_fired = False
     readout = sentinel
     if live:
-        w = [weights[e] for e in live]
-        u = [offsets[e] for e in live]
-        drive = float(np.sum(np.asarray(w) * np.exp(np.asarray(u))))
-        if drive >= params.threshold:
+        live_w = [w[k] for k in live]
+        live_u = [u[k] for k in live]
+        if _drive(live_w, live_u) >= threshold:
             output_fired = True
-            readout = readout_scale * interarrival_time(w, u, params.threshold) + readout_offset
+            readout = (readout_scale * interarrival_time(live_w, live_u, threshold)
+                       + readout_offset)
 
-    return TrialRecord(arrivals=arrivals, offsets=dict(offsets), firing=firing,
+    fired_edges = tuple([edge_list[k] for k in arrival])
+    return TrialRecord(arrivals=dict(zip(fired_edges, arrival.values())),
+                       offsets=dict(offsets), firing={j: times[j] for j in topology.order},
                        readout=readout, output_neuron=out, output_fired=output_fired,
-                       fired_edges=tuple(fired_edges))
+                       fired_edges=fired_edges)
+
+
+def _by_edge(values: dict, edges: tuple, what: str) -> list:
+    """``values[e]`` for every edge in order; a missing edge is a ValueError."""
+    try:
+        return [values[e] for e in edges]
+    except KeyError:
+        missing = next(e for e in edges if e not in values)
+        raise ValueError(f"missing {what} for edge {missing}") from None
+
+
+def plasticity_update(topology: Topology, weights: dict, record: TrialRecord,
+                      params: KernelParams, reward_delta: float | None = None,
+                      alpha: float = 1.0) -> dict:
+    """The weights after one trial's spike-timing plasticity.
+
+    An edge whose spike reached a neuron that fired at T+ moves as
+    :func:`stdp_update` prescribes for the window [T+ - 2A, T+] and the
+    spike at T+ - A + U, with U the edge's offset in ``record``: by the
+    unsupervised change, plus the reward-modulated change when
+    ``reward_delta`` is given. Both changes come from one evaluation of the
+    two kernels. Every other edge keeps its weight. As in
+    :func:`stdp_update`, a spike outside its window or a moving edge's
+    weight that is not positive raises ValueError.
+    """
+    firing, arrivals = record.firing, record.arrivals
+    moved = [e for e in topology.edges if e in arrivals and firing.get(e[1]) is not None]
+    w = np.array([weights[e] for e in moved], dtype=np.float64)
+    t_plus = np.array([firing[j] for _, j in moved], dtype=np.float64)
+    u = np.array([record.offsets[e] for e in moved], dtype=np.float64)
+    a = params.half_interval
+    with np.errstate(all="ignore"):
+        t_minus = t_plus - 2.0 * a
+        depress, potentiate = _kernels(w, t_minus + a + u, t_minus, t_plus, params.decay)
+        new = _stdp_step(w, -1.0, params.amplitude, depress, potentiate)
+        if reward_delta is not None:
+            new += _stdp_step(w, alpha * reward_delta, params.amplitude, depress, potentiate) - w
+    updated = dict(weights)
+    updated.update(zip(moved, new.tolist()))
+    return updated

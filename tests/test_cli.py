@@ -265,6 +265,8 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("verify", {"checks": ["mean-step"], "half_interval": 800}, "mean-step"),
     ("sweep", {"dims": [2, 2]}, "dims"),
     ("sweep", {"dims": [2, 4], "samples_per_dim": 20, "sigma2": 1e-300}, "sigma2"),
+    ("spike-demo", {"weights": {"fill": math.inf}}, "weights"),
+    ("spike-demo", {"weights": [1.0, math.nan, 1.0]}, "weights"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -408,6 +410,73 @@ def test_spike_demo_rerun_is_byte_identical(tmp_path, configs_dir):
     assert main(["spike-demo", "--config", cfg, "--out", str(a)]) == 0
     assert main(["spike-demo", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def layered_spike_config(tmp_path, sizes=(8, 16, 16, 1)) -> str:
+    """Fully connected layers, weights near 1.5 / fan-in, 20 plastic trials with a reward."""
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    edges, fan_in = [], {}
+    for k in range(len(sizes) - 1):
+        for j in range(starts[k + 1], starts[k + 1] + sizes[k + 1]):
+            fan_in[j] = sizes[k]
+        edges += [[i, j] for i in range(starts[k], starts[k] + sizes[k])
+                  for j in range(starts[k + 1], starts[k + 1] + sizes[k + 1])]
+    topo = write_config(tmp_path, "layered.json", {
+        "neurons": sum(sizes), "edges": edges, "inputs": list(range(sizes[0])),
+        "outputs": [starts[-1]]})
+    weights = [1.5 / fan_in[j] * (0.8 + 0.1 * (n % 5)) for n, (_, j) in enumerate(edges)]
+    return write_config(tmp_path, "layered_demo.json", {
+        "topology": topo, "trials": 20, "seed": 4,
+        "params": {"decay": 1.0, "amplitude": 0.05, "threshold": 1.0, "half_interval": 0.25},
+        "weights": weights, "reward_delta": 0.05, "out": str(tmp_path / "layered.csv")})
+
+
+@pytest.mark.parametrize("config,digest", [
+    ("spike_demo.json", "6d2daa816011c3d076e9532f51001378c80f753a3f1ed52431627f250ec8626d"),
+    ("layered", "424d23e010299daf02fe67bf871e67dfc6add5a9434619d56ba09837c34b31a7"),
+])
+def test_spike_demo_output_is_pinned(tmp_path, configs_dir, config, digest):
+    # sha256 of the CSVs the scalar engine wrote before parents were precomputed
+    cfg = (layered_spike_config(tmp_path) if config == "layered"
+           else str(configs_dir / config))
+    out = tmp_path / "pinned.csv"
+    assert main(["spike-demo", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e6, 1e-320, -0.0]))
+def test_row_template_formats_like_fstring(x):
+    # spike-demo writes its rows with "%.12g" templates
+    assert "%.12g" % x == f"{x:.12g}"
+
+
+def run_spike_demo_warnings_as_errors(tmp_path, **overrides):
+    cfg = write_config(tmp_path, "huge.json", {
+        "topology": str(TOPOLOGY), "trials": 5, "weights": {"fill": 1e308},
+        "out": str(tmp_path / "huge.csv"), **overrides})
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "spikezero.cli", "spike-demo",
+                           "--config", cfg], env=env, capture_output=True, text=True)
+
+
+def test_spike_demo_overflowing_readout_is_inf_without_warnings(tmp_path):
+    result = run_spike_demo_warnings_as_errors(tmp_path, plasticity=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    readouts = [r["value"] for r in read_rows(tmp_path / "huge.csv") if r["kind"] == "readout"]
+    assert readouts == ["inf"] * 5
+
+
+def test_spike_demo_nonfinite_weight_exits_one_with_rows_so_far(tmp_path):
+    # 1e308 weights grow past the float range in the second trial
+    result = run_spike_demo_warnings_as_errors(tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == ("spike-demo failed at trial 1: plasticity left edge 0->3 "
+                             "with weight inf\n")
+    rows = read_rows(tmp_path / "huge.csv")
+    assert {r["trial"] for r in rows} == {"0", "1"}
+    assert [r["value"] for r in rows if r["trial"] == "1" and r["edge_or_neuron"] == "0->3"
+            and r["kind"] == "weight"] == ["inf"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from spiking_reference import reference_plasticity, reference_stdp_update, reference_trial
 
 from spikezero.core import RngStream
 from spikezero.spiking import (
@@ -11,6 +14,7 @@ from spikezero.spiking import (
     interarrival_time,
     load_topology,
     next_spike_time,
+    plasticity_update,
     potential,
     run_trial,
     stdp_update,
@@ -43,6 +47,13 @@ def test_topology_rejects_self_loop_and_bad_ids():
 def test_topology_order_respects_edges():
     order = CHAIN.order
     assert order.index(0) < order.index(1) < order.index(2)
+
+
+def test_topology_parents_in_edge_order():
+    topo = Topology(n_neurons=4, edges=((2, 3), (0, 1), (0, 3), (1, 3)), inputs=(0, 2),
+                    outputs=(3,))
+    assert [topo.parents(j) for j in range(4)] == [[], [0], [], [2, 0, 1]]
+    assert topo.parents(7) == []
 
 
 def test_load_topology_roundtrip(tmp_path):
@@ -280,3 +291,134 @@ def test_run_trial_validates_inputs():
                   offsets={(0, 1): 0.0, (1, 2): 0.0})
     with pytest.raises(ValueError, match="generator"):
         run_trial(CHAIN, {(0, 1): 1.0, (1, 2): 1.0}, {0: 0.0}, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# the index-array engine against the scalar reference
+
+
+finite = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def networks(draw):
+    """A random DAG over neurons numbered in a shuffled topological order."""
+    n = draw(st.integers(2, 9))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    inputs = draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True))
+    output = draw(st.sampled_from(range(n)))
+    return Topology(n_neurons=n, edges=tuple(edges), inputs=tuple(inputs), outputs=(output,))
+
+
+def bit_pattern(value):
+    return None if value is None else float(value).hex()
+
+
+def bit_patterns(mapping: dict) -> dict:
+    return {key: bit_pattern(value) for key, value in mapping.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=networks(), data=st.data())
+def test_engine_equals_scalar_reference(topo, data):
+    params = KernelParams(decay=data.draw(st.floats(0.1, 3.0)),
+                          amplitude=data.draw(st.floats(0.01, 1.0)),
+                          threshold=data.draw(st.floats(0.2, 3.0)),
+                          half_interval=data.draw(st.floats(0.05, 1.0)))
+    weights = {e: data.draw(st.floats(0.05, 3.0)) for e in topo.edges}
+    # offsets on [-A, A] as spike-demo draws them; the transform moves them out
+    offsets = {e: params.half_interval * data.draw(finite) for e in topo.edges}
+    input_times = {i: data.draw(st.none() | finite) for i in topo.inputs}
+    if data.draw(st.booleans(), label="transform"):
+        # the spike-demo transform path: (w, U) -> (lam w, U - ln lam)
+        lam = {e: data.draw(st.floats(0.1, 10.0)) for e in topo.edges}
+        weights = {e: lam[e] * weights[e] for e in topo.edges}
+        offsets = {e: offsets[e] - math.log(lam[e]) for e in topo.edges}
+    scale, shift = data.draw(finite), data.draw(finite)
+
+    record = run_trial(topo, weights, input_times, params, offsets=offsets,
+                       readout_scale=scale, readout_offset=shift)
+    arrivals, firing, readout, fired, fired_edges = reference_trial(
+        topo, weights, input_times, params, offsets, readout_scale=scale, readout_offset=shift)
+    assert list(record.arrivals) == list(arrivals)
+    assert bit_patterns(record.arrivals) == bit_patterns(arrivals)
+    assert list(record.firing) == list(firing)
+    assert bit_patterns(record.firing) == bit_patterns(firing)
+    assert bit_pattern(record.readout) == bit_pattern(readout)
+    assert record.output_fired == fired
+    assert record.fired_edges == fired_edges
+    assert record.offsets == offsets
+
+    reward_delta = data.draw(st.none() | st.floats(-5.0, 5.0), label="reward_delta")
+    alpha = data.draw(st.floats(0.01, 2.0), label="alpha")
+    try:
+        expected = reference_plasticity(topo, weights, arrivals, firing, offsets, params,
+                                        reward_delta=reward_delta, alpha=alpha)
+    except ValueError:
+        # an offset beyond the half interval puts a spike outside its window
+        with pytest.raises(ValueError, match="outside postsynaptic window"):
+            plasticity_update(topo, weights, record, params, reward_delta=reward_delta,
+                              alpha=alpha)
+        return
+    updated = plasticity_update(topo, weights, record, params, reward_delta=reward_delta,
+                                alpha=alpha)
+    assert list(updated) == list(expected)
+    assert bit_patterns(updated) == bit_patterns(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight=st.floats(1e-3, 1e3), t_minus=finite, place=st.floats(0.0, 1.0),
+       width=st.floats(1e-3, 5.0), decay=st.floats(0.1, 3.0), amplitude=st.floats(0.01, 1.0),
+       reward_delta=st.none() | st.floats(-5.0, 5.0), alpha=st.floats(0.01, 2.0))
+def test_stdp_update_equals_scalar_reference(weight, t_minus, place, width, decay, amplitude,
+                                             reward_delta, alpha):
+    params = KernelParams(decay=decay, amplitude=amplitude, threshold=1.0, half_interval=1.0)
+    tau, t_plus = t_minus + place * width, t_minus + width
+    got = stdp_update(weight, tau, t_minus, t_plus, params, reward_delta=reward_delta,
+                      alpha=alpha)
+    expected = reference_stdp_update(weight, tau, t_minus, t_plus, params,
+                                     reward_delta=reward_delta, alpha=alpha)
+    assert got.hex() == expected.hex()
+
+
+# ---------------------------------------------------------------------------
+# the (w, U) -> (lam w, U - ln lam) reduction on random topologies
+
+
+@st.composite
+def fan_in_networks(draw):
+    """Inputs, an optional fully connected hidden layer, and one output fed
+    by every hidden neuron and by some inputs directly."""
+    n_in = draw(st.integers(1, 6))
+    n_hidden = draw(st.integers(0, 4))
+    inputs = range(n_in)
+    hidden = range(n_in, n_in + n_hidden)
+    out = n_in + n_hidden
+    direct = draw(st.lists(st.sampled_from(inputs), unique=True, min_size=0 if n_hidden else 1))
+    edges = [(i, h) for i in inputs for h in hidden] + [(i, out) for i in [*hidden, *direct]]
+    return Topology(n_neurons=out + 1, edges=tuple(edges), inputs=tuple(inputs), outputs=(out,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=fan_in_networks(), data=st.data())
+def test_readout_invariant_under_reduction_of_output_edges(topo, data):
+    a = data.draw(st.floats(0.05, 2.0), label="half_interval")
+    params = KernelParams(decay=data.draw(st.floats(0.1, 3.0)), amplitude=1.0,
+                          threshold=data.draw(st.floats(0.05, 2.0)), half_interval=a)
+    weights = {e: data.draw(st.floats(0.05, 3.0)) for e in topo.edges}
+    offsets = {e: a * data.draw(finite) for e in topo.edges}
+    input_times = {i: data.draw(finite) for i in topo.inputs}
+    base = run_trial(topo, weights, input_times, params, offsets=offsets)
+    # a drive within rounding of the threshold may fire on one side only
+    assume(base.output_fired and base.readout > 1e-9)
+
+    out = topo.outputs[0]
+    lam = {e: math.exp(data.draw(st.floats(-3.0, 3.0))) for e in topo.edges if e[1] == out}
+    moved = run_trial(topo, {e: lam[e] * w if e in lam else w for e, w in weights.items()},
+                      input_times, params,
+                      offsets={e: u - math.log(lam[e]) if e in lam else u
+                               for e, u in offsets.items()})
+    assert moved.output_fired
+    assert abs(moved.readout - base.readout) <= 1e-12
