@@ -4,7 +4,8 @@ The package implements the derivative-free parameter update that falls out
 of reward-modulated spike-timing plasticity, together with gradient-descent
 and Gaussian one-point baselines, a small feedforward spiking-network
 simulator, and a verification suite that checks the scheme's expectation
-identities against closed forms and quadrature.
+identities against closed forms and Gauss–Legendre quadrature. It needs
+numpy only.
 """
 
 from .core import LearningRateSchedule, RngStream

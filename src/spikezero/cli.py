@@ -288,9 +288,7 @@ def cmd_verify(args) -> int:
     _check_keys(doc, set(_VERIFY_DEFAULTS), "verify config")
     seed = _seed(args, doc, 1)
     out = _out(args, doc, "verify_report.json")
-    half_interval = _number(doc.get("half_interval", 1.0), "half_interval")
-    if not half_interval > 0:
-        raise ConfigError("half_interval must be positive")
+    half_interval = _positive(doc, "half_interval", "verify config", default=1.0)
     checks = doc.get("checks", list(_CHECK_NAMES))
     if not isinstance(checks, list):
         raise ConfigError("field 'checks' must be a list of check names")
@@ -363,10 +361,7 @@ def cmd_optimize(args) -> int:
 
     noise = None
     if any(m in ("stdp-zo", "stdp-mult") for m in methods):
-        half = _number(doc.get("half_interval", 1.0), "half_interval")
-        if not half > 0:
-            raise ConfigError("half_interval must be positive")
-        noise = NoiseConfig(half, dim)
+        noise = NoiseConfig(_positive(doc, "half_interval", "optimize config", default=1.0), dim)
     gaussian = None
     if "one-point" in methods:
         sigma2 = _positive(doc, "sigma2", "optimize config", default=1.0)
@@ -521,8 +516,8 @@ def cmd_spike_demo(args) -> int:
         tdoc = doc["transform"]
         _check_keys(tdoc, {"lam"}, "transform")
         lam_vec = _vector(tdoc.get("lam", {"fill": 1.0}), len(edges), "transform.lam")
-        if np.any(lam_vec <= 0):
-            raise ConfigError("transform.lam must be positive")
+        if not np.all((lam_vec > 0) & (lam_vec < math.inf)):
+            raise ConfigError("transform.lam must be positive and finite")
         if plasticity:
             # shifted offsets leave the plasticity timing window and scaled
             # weights would evolve differently, defeating the comparison

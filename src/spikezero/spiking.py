@@ -147,8 +147,8 @@ class KernelParams:
             raise ValueError("amplitude must be in (0, 1]")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if not self.half_interval > 0:
-            raise ValueError("half_interval must be positive")
+        if not 0 < self.half_interval < math.inf:
+            raise ValueError("half_interval must be positive and finite")
 
 
 def potential(arrivals, t: float, decay: float = 1.0) -> float:

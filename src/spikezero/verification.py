@@ -1,8 +1,8 @@
 """Oracle-backed checks of the expectation identities behind the update rules.
 
 Each check pits a Monte Carlo estimate against an independent ground truth
-(closed form, adaptive quadrature, or a second estimator route) and returns
-a CheckReport. The identities covered:
+(closed form, Gauss–Legendre quadrature, or a second estimator route) and
+returns a CheckReport. The module needs numpy only. The identities covered:
 
 * the Gaussian one-point product L(theta + xi) xi has mean
   sigma^2 E[grad L(theta + xi)]  (Stein's identity);
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 
 from .core import LearningRateSchedule, RngStream
 from .losses import LeastSquaresLoss, LossFunction, finite_diff_gradient
@@ -119,18 +118,98 @@ def _unnormalized_density(x, a):
 
 
 # ---------------------------------------------------------------------------
+# quadrature and the chi-square quantile
+
+
+# Gauss–Legendre rule on [-1, 1]. On panels no wider than _PANEL_WIDTH it
+# integrates the exponential-times-polynomial integrands of these checks to
+# rounding: on one panel as wide as 40 its relative error on C(A) is below
+# 1e-15.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_PANEL_WIDTH = 10.0
+# largest tensor grid the mean-step quadrature evaluates in one batch
+_MAX_GRID_POINTS = 2 ** 20
+
+
+def _gauss_legendre(lo: float, hi: float):
+    """Nodes and weights of the composite rule on [lo, hi], panels at most _PANEL_WIDTH wide."""
+    panels = max(1, math.ceil((hi - lo) / _PANEL_WIDTH))
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _integrate(f, lo: float, hi: float) -> float:
+    """Integral of the vectorized ``f`` over [lo, hi]."""
+    nodes, weights = _gauss_legendre(lo, hi)
+    return float(weights @ f(nodes))
+
+
+def _gamma_upper(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(s, x) for s, x > 0."""
+    log_prefactor = s * math.log(x) - x - math.lgamma(s)
+    if x <= s + 1.0:
+        # lower series: P(s, x) = x^s e^-x / Gamma(s) * sum_n x^n / (s (s+1) ... (s+n))
+        term = total = 1.0 / s
+        n = s
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - total * math.exp(log_prefactor)
+    # continued fraction for Q, evaluated by the modified Lentz method; the
+    # factors delta converge to 1, so the loop ends within a few ulps of it
+    b = x + 1.0 - s
+    c = math.inf
+    d = h = 1.0 / b
+    i = 0
+    delta = 0.0
+    while abs(delta - 1.0) > 1e-15:
+        i += 1
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+    return h * math.exp(log_prefactor)
+
+
+def _chi2_quantile(q: float, dof: int) -> float:
+    """The ``q`` quantile of the chi-square distribution with ``dof`` degrees of freedom.
+
+    Bisection to the last bit on the upper tail, Q(dof/2, x/2) = 1 - q.
+    Upper quantiles, the ones a goodness-of-fit threshold needs, come out
+    to a few ulps; far lower ones (q near 1e-6) lose digits to 1 - q.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError("quantile level must lie strictly between 0 and 1")
+    tail = 1.0 - q
+    s = 0.5 * dof
+    lo, hi = 0.0, float(dof)
+    while _gamma_upper(s, 0.5 * hi) > tail:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _gamma_upper(s, 0.5 * mid) > tail:
+            lo = mid
+        else:
+            hi = mid
+
+
+# ---------------------------------------------------------------------------
 # normalizer and density
 
 
 def check_normalizer(half_intervals=DEFAULT_HALF_INTERVALS, rel_tol: float = 1e-9,
                      seed: int = 0) -> CheckReport:
-    """Closed-form normalizer vs adaptive quadrature on a grid of A."""
+    """Closed-form normalizer vs Gauss–Legendre quadrature on a grid of A."""
     closed = [normalizer_c(a) for a in half_intervals]
-    quad = []
-    for a in half_intervals:
-        q, _ = integrate.quad(_unnormalized_density, -a, a, args=(a,),
-                              epsabs=1e-12, epsrel=1e-12)
-        quad.append(q)
+    quad = [_integrate(lambda x, a=a: _unnormalized_density(x, a), -a, a)
+            for a in half_intervals]
     rel = _max_rel_err(closed, quad)
     return CheckReport(
         name="normalizer", n=len(half_intervals), seed=seed,
@@ -143,11 +222,7 @@ def check_normalizer(half_intervals=DEFAULT_HALF_INTERVALS, rel_tol: float = 1e-
 def check_density_mass(half_intervals=DEFAULT_HALF_INTERVALS, tol: float = 1e-9,
                        seed: int = 0) -> CheckReport:
     """The normalized density integrates to one on every A in the grid."""
-    masses = []
-    for a in half_intervals:
-        pd = PerturbationDensity(a)
-        q, _ = integrate.quad(pd.density, -a, a, epsabs=1e-12, epsrel=1e-12)
-        masses.append(q)
+    masses = [_integrate(PerturbationDensity(a).density, -a, a) for a in half_intervals]
     err = float(np.max(np.abs(np.asarray(masses) - 1.0)))
     return CheckReport(
         name="density-mass", n=len(half_intervals), seed=seed,
@@ -162,10 +237,10 @@ def check_density_sampler(rng: RngStream, half_intervals=DEFAULT_HALF_INTERVALS,
                           significance: float = 1e-3) -> CheckReport:
     """Chi-square goodness of fit of the rejection sampler.
 
-    Bin probabilities come from quadrature of the density over equal-width
-    bins, independent of the sampler.
+    Bin probabilities come from Gauss–Legendre quadrature of the density
+    over equal-width bins, independent of the sampler.
     """
-    threshold = float(stats.chi2.ppf(1.0 - significance, bins - 1))
+    threshold = _chi2_quantile(1.0 - significance, bins - 1)
     statistics = []
     for idx, a in enumerate(half_intervals):
         pd = PerturbationDensity(a)
@@ -173,11 +248,8 @@ def check_density_sampler(rng: RngStream, half_intervals=DEFAULT_HALF_INTERVALS,
         draws = pd.sample(gen, size=n)
         edges = np.linspace(-a, a, bins + 1)
         observed, _ = np.histogram(draws, bins=edges)
-        expected = np.empty(bins)
-        for b in range(bins):
-            q, _ = integrate.quad(pd.density, edges[b], edges[b + 1],
-                                  epsabs=1e-12, epsrel=1e-12)
-            expected[b] = n * q
+        expected = n * np.array([_integrate(pd.density, edges[b], edges[b + 1])
+                                 for b in range(bins)])
         statistics.append(float(np.sum((observed - expected) ** 2 / expected)))
     return CheckReport(
         name="density-sampler", n=n, seed=rng.seed,
@@ -249,35 +321,30 @@ def _grad_form_mc(loss, theta, a, alpha, n, gen):
     return _mean_se(values)
 
 
-def _partial_derivative(loss, point, j):
-    try:
-        return float(loss.gradient(point)[j])
-    except NotImplementedError:
-        return float(finite_diff_gradient(loss, point)[j])
-
-
 def _mean_step_quadrature(loss, theta, a, alpha):
-    """Deterministic per-coordinate quadrature of the gradient form, d <= 3."""
+    """Tensor Gauss–Legendre quadrature of the gradient form on [-A, A]^d, d <= 3.
+
+    The whole grid goes through one ``gradient_many`` call; a loss without
+    a gradient is differentiated by central differences point by point.
+    """
     d = theta.shape[0]
     if d > 3:
         raise ValueError("quadrature oracle is limited to d <= 3")
+    nodes, weights = _gauss_legendre(-a, a)
+    if nodes.size ** d > _MAX_GRID_POINTS:
+        raise ValueError(f"quadrature grid of {nodes.size}^{d} points is too large "
+                         f"at half_interval {a!r}")
+    u = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    w = np.prod(np.meshgrid(*[weights] * d, indexing="ij"), axis=0).ravel()
+    points = theta[None, :] + u
+    try:
+        grads = loss.gradient_many(points)
+    except NotImplementedError:
+        grads = np.stack([finite_diff_gradient(loss, p) for p in points])
     ea = math.exp(a)
-    volume = (2.0 * a) ** d
-    ranges = [(-a, a)] * d
-    out = np.empty(d)
-    for j in range(d):
-        def integrand(*u, _j=j):
-            point = theta + np.asarray(u)
-            weight = (ea - math.exp(u[_j])) * (ea - math.exp(-u[_j]))
-            return _partial_derivative(loss, point, _j) * weight
-
-        if d == 1:
-            val, _ = integrate.quad(integrand, -a, a, epsabs=1e-11, epsrel=1e-11)
-        else:
-            val, _ = integrate.nquad(integrand, ranges,
-                                     opts={"epsabs": 1e-9, "epsrel": 1e-9})
-        out[j] = -alpha * math.exp(-a) * val / volume
-    return out
+    # column j carries coordinate j's weight (e^A - e^{u_j})(e^A - e^{-u_j})
+    integrals = w @ (grads * (ea - np.exp(u)) * (ea - np.exp(-u)))
+    return -alpha * math.exp(-a) * integrals / (2.0 * a) ** d
 
 
 def check_mean_step(loss: LossFunction, theta, half_interval: float, alpha: float,
@@ -286,8 +353,8 @@ def check_mean_step(loss: LossFunction, theta, half_interval: float, alpha: floa
     """Three-way agreement of the mean spike-timing step.
 
     Routes: (a) raw-step Monte Carlo with a zero baseline, (b) Monte Carlo
-    of the smoothed-gradient form, (c) per-coordinate adaptive quadrature
-    of (b) for d <= 3. Every available pair must agree per coordinate
+    of the smoothed-gradient form, (c) tensor Gauss–Legendre quadrature of
+    (b) for d <= 3. Every available pair must agree per coordinate
     within three combined standard errors, or within ``rel_tol`` relative
     where the reference value is nonzero.
     """

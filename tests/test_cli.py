@@ -267,6 +267,14 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("sweep", {"dims": [2, 4], "samples_per_dim": 20, "sigma2": 1e-300}, "sigma2"),
     ("spike-demo", {"weights": {"fill": math.inf}}, "weights"),
     ("spike-demo", {"weights": [1.0, math.nan, 1.0]}, "weights"),
+    # the value the config fuzzer found for optimize, and its verify twin
+    ("optimize", {"half_interval": math.inf}, "half_interval"),
+    ("verify", {"checks": ["mean-step"], "half_interval": math.inf}, "half_interval"),
+    ("spike-demo", {"params": {"half_interval": math.inf}}, "half_interval"),
+    ("spike-demo", {"plasticity": False, "transform": {"lam": {"fill": math.inf}}},
+     "transform.lam"),
+    ("spike-demo", {"plasticity": False, "transform": {"lam": [1.0, math.nan, 1.0]}},
+     "transform.lam"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),

@@ -3,10 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from spikezero.core import RngStream
-from spikezero.losses import LeastSquaresLoss, PowerLoss
+from spikezero.losses import LeastSquaresLoss, LossFunction, PowerLoss
+from spikezero.perturbation import PerturbationDensity, normalizer_c
 from spikezero.verification import (
+    DEFAULT_HALF_INTERVALS,
+    _chi2_quantile,
+    _integrate,
+    _mean_step_quadrature,
+    _unnormalized_density,
     check_componentwise,
     check_density_mass,
     check_density_sampler,
@@ -62,6 +69,65 @@ class TestNormalizerAndDensityChecks:
     def test_density_sampler_check_passes(self):
         report = check_density_sampler(RngStream(11), n=50_000)
         assert report.passed
+
+
+class TestNumpyOraclesAgainstScipy:
+    # scipy is a test-only dependency: the package's Gauss-Legendre rule and
+    # chi-square quantile are held to scipy's adaptive quadrature and ppf
+
+    @pytest.mark.parametrize("a", DEFAULT_HALF_INTERVALS)
+    def test_bin_masses_match_adaptive_quadrature(self, a):
+        pd = PerturbationDensity(a)
+        edges = np.linspace(-a, a, 21)  # the density-sampler check's 20 bins
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            expected, _ = integrate.quad(pd.density, lo, hi, epsabs=0, epsrel=1e-13)
+            assert _integrate(pd.density, lo, hi) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a", sorted({*DEFAULT_HALF_INTERVALS, *np.arange(1, 51) / 10}))
+    def test_normalizer_and_mass_match_adaptive_quadrature(self, a):
+        expected, _ = integrate.quad(_unnormalized_density, -a, a, args=(a,),
+                                     epsabs=0, epsrel=1e-13)
+        got = _integrate(lambda x: _unnormalized_density(x, a), -a, a)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        pd = PerturbationDensity(a)
+        mass, _ = integrate.quad(pd.density, -a, a, epsabs=0, epsrel=1e-13)
+        assert _integrate(pd.density, -a, a) == pytest.approx(mass, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999, 1 - 1e-4])
+    def test_chi2_quantile_matches_ppf(self, q):
+        for dof in range(1, 41):
+            assert _chi2_quantile(q, dof) == pytest.approx(stats.chi2.ppf(q, dof),
+                                                           rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, math.nan])
+    def test_chi2_quantile_rejects_levels_outside_the_open_unit_interval(self, q):
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            _chi2_quantile(q, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_mean_step_quadrature_matches_closed_form(self, d, a):
+        # for |theta - y|^2 the mean step is -2 alpha e^-A C(A)/(2A) (theta - y)
+        theta = np.array([0.3, -0.7, 1.1])[:d]
+        target = np.array([1.0, -0.5, 2.0])[:d]
+        alpha = 0.3
+        got = _mean_step_quadrature(LeastSquaresLoss(target), theta, a, alpha)
+        closed = -2.0 * alpha * math.exp(-a) * normalizer_c(a) / (2.0 * a) * (theta - target)
+        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=0)
+
+    def test_mean_step_quadrature_differentiates_a_loss_without_gradient(self):
+        class ValueOnly(LossFunction):
+            def evaluate(self, params, sample=None):
+                return float(np.sum((params - 1.0) ** 2))
+
+        theta = np.array([0.2, -0.4])
+        got = _mean_step_quadrature(ValueOnly(), theta, 1.0, 1.0)
+        exact = _mean_step_quadrature(LeastSquaresLoss(np.ones(2)), theta, 1.0, 1.0)
+        np.testing.assert_allclose(got, exact, rtol=1e-8)
+
+    def test_mean_step_quadrature_rejects_an_oversized_grid(self):
+        with pytest.raises(ValueError, match="too large"):
+            _mean_step_quadrature(LeastSquaresLoss(np.ones(3)), np.zeros(3), 300.0, 1.0)
 
 
 class TestStein:
