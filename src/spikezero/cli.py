@@ -40,6 +40,7 @@ from .spiking import (
 )
 from .verification import (
     DEFAULT_HALF_INTERVALS,
+    Lanes,
     check_componentwise,
     check_density_mass,
     check_density_sampler,
@@ -90,6 +91,14 @@ def _number(value, field: str, kind=float):
         return kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
+
+
+def _finite(value, field: str) -> float:
+    """``_number(value, field)``; an infinite or NaN value is a ConfigError naming ``field``."""
+    value = _number(value, field)
+    if not math.isfinite(value):
+        raise ConfigError(f"field {field!r} must be finite, not {value!r}")
+    return value
 
 
 def _flag(doc: dict, key: str, default: bool) -> bool:
@@ -240,7 +249,8 @@ _VERIFY_DEFAULTS = {"checks": list(_CHECK_NAMES), "seed": 1, "half_interval": 1.
                     "out": "verify_report.json", "samples": {}}
 
 
-def _run_check(name: str, seed: int, half_interval: float, n: int | None):
+def _run_check(name: str, seed: int, half_interval: float, n: int | None,
+               lanes: Lanes | None = None):
     rng = RngStream(seed).substream(_CHECK_NAMES.index(name))
     n = n if n is not None else _DEFAULT_SAMPLES.get(name)
     if name == "normalizer":
@@ -276,7 +286,8 @@ def _run_check(name: str, seed: int, half_interval: float, n: int | None):
         rep.name = "zero-mean-prev-quartic"
         return rep
     if name == "variance-scaling":
-        return check_variance_scaling((10, 32, 100, 316, 1000), sigma2=1.0, n=n, rng=rng)
+        return check_variance_scaling((10, 32, 100, 316, 1000), sigma2=1.0, n=n, rng=rng,
+                                      lanes=lanes)
     if name == "divergence":
         report, _ = divergence_demo()
         return report
@@ -304,15 +315,36 @@ def cmd_verify(args) -> int:
     samples = {name: _number(n, f"samples.{name}", int)
                for name, n in samples.items() if n is not None}
 
-    reports = []
-    for name in checks:
-        try:
-            # a check that leaves the floating-point range fails instead of
-            # warning; so does one given fewer samples than it needs
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                reports.append(_run_check(name, seed, half_interval, samples.get(name)))
-        except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"check {name!r}: {exc}") from exc
+    # Two lanes: one runs the variance-scaling checks, whose sweep rows have
+    # a small working set, the other runs the rest in config order, so at
+    # most one full-size check runs at a time. The idle lane takes sweep
+    # rows. Each lane stops at its first failure; the first failure in
+    # config order is the one a serial run would have met.
+    reports = [None] * len(checks)
+    failures = {}
+
+    def run_lane(indices):
+        for i in indices:
+            try:
+                # a check that leaves the floating-point range fails instead of
+                # warning; so does one given fewer samples than it needs
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    reports[i] = _run_check(checks[i], seed, half_interval,
+                                            samples.get(checks[i]), lanes)
+            except Exception as exc:
+                failures[i] = exc
+                return
+
+    sweeps = [i for i, name in enumerate(checks) if name == "variance-scaling"]
+    others = [i for i, name in enumerate(checks) if name != "variance-scaling"]
+    with Lanes() as lanes:
+        lanes.map(run_lane, [sweeps, others])
+    if failures:
+        i = min(failures)
+        exc = failures[i]
+        if isinstance(exc, (ValueError, ArithmeticError)):
+            raise ConfigError(f"check {checks[i]!r}: {exc}") from exc
+        raise exc
     payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
     _write_text(out, payload)
     all_pass = all(r.passed for r in reports)
@@ -495,21 +527,21 @@ def cmd_spike_demo(args) -> int:
 
     input_vec = _vector(doc.get("input_vector", {"fill": 0.0}), len(topology.inputs),
                         "input_vector")
-    scale = _number(doc.get("input_scale", 1.0), "input_scale")
-    offset = _number(doc.get("input_offset", 0.0), "input_offset")
+    scale = _finite(doc.get("input_scale", 1.0), "input_scale")
+    offset = _finite(doc.get("input_offset", 0.0), "input_offset")
     input_times = {nid: offset + scale * float(input_vec[i])
                    for i, nid in enumerate(topology.inputs)}
 
     rdoc = doc.get("readout", {})
     _check_keys(rdoc, {"scale", "offset", "sentinel"}, "readout")
-    readout_scale = _number(rdoc.get("scale", 1.0), "readout.scale")
-    readout_offset = _number(rdoc.get("offset", 0.0), "readout.offset")
-    sentinel = _number(rdoc.get("sentinel", 1e6), "readout.sentinel")
+    readout_scale = _finite(rdoc.get("scale", 1.0), "readout.scale")
+    readout_offset = _finite(rdoc.get("offset", 0.0), "readout.offset")
+    sentinel = _finite(rdoc.get("sentinel", 1e6), "readout.sentinel")
 
     reward_delta = doc.get("reward_delta")
     if reward_delta is not None:
-        reward_delta = _number(reward_delta, "reward_delta")
-    alpha = _number(doc.get("alpha", 1.0), "alpha")
+        reward_delta = _finite(reward_delta, "reward_delta")
+    alpha = _finite(doc.get("alpha", 1.0), "alpha")
     plasticity = _flag(doc, "plasticity", True)
     lam = None
     if doc.get("transform") is not None:

@@ -60,6 +60,15 @@ def normalizer_c(half_interval: float) -> float:
     return 2.0 * a * (e2a + 1.0) + 2.0 - 2.0 * e2a
 
 
+def _unnormalized(x: np.ndarray, ea: float) -> np.ndarray:
+    """(ea - e^x)(ea - 1 / e^x) for ea = e^A, computed in place on two temporaries."""
+    ex = np.exp(x)
+    inverse = np.divide(1.0, ex)
+    np.subtract(ea, inverse, out=inverse)
+    np.subtract(ea, ex, out=ex)
+    return np.multiply(ex, inverse, out=ex)
+
+
 @dataclass(frozen=True)
 class PerturbationDensity:
     """The density f_A with cached normalizer and an exact sampler."""
@@ -78,8 +87,7 @@ class PerturbationDensity:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         inside = np.abs(x) <= a
-        ex = np.exp(x[inside])
-        out[inside] = (ea - ex) * (ea - 1.0 / ex) / self.normalizer
+        out[inside] = _unnormalized(x[inside], ea) / self.normalizer
         return float(out) if out.ndim == 0 else out
 
     def peak(self) -> float:
@@ -108,8 +116,7 @@ class PerturbationDensity:
             batch = max(64, int(1.6 * (n - filled)))
             x = gen.uniform(-a, a, size=batch)
             u = gen.uniform(0.0, peak_unnormalized, size=batch)
-            ex = np.exp(x)
-            keep = x[u <= (ea - ex) * (ea - 1.0 / ex)]
+            keep = x[u <= _unnormalized(x, ea)]
             proposed += batch
             accepted += keep.size
             take = min(keep.size, n - filled)

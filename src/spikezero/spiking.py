@@ -141,12 +141,12 @@ class KernelParams:
     half_interval: float = 1.0
 
     def __post_init__(self):
-        if not self.decay > 0:
-            raise ValueError("decay must be positive")
+        if not 0 < self.decay < math.inf:
+            raise ValueError("decay must be positive and finite")
         if not 0 < self.amplitude <= 1:
             raise ValueError("amplitude must be in (0, 1]")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if not 0 < self.half_interval < math.inf:
             raise ValueError("half_interval must be positive and finite")
 

@@ -22,12 +22,22 @@ returns a CheckReport. The module needs numpy only. The identities covered:
   while gradient descent from the same start converges.
 
 Every check is a pure function of (seed, configuration), so reports are
-bitwise reproducible.
+bitwise reproducible. ``Lanes`` runs independent pieces of work, such as
+the sweep's dimensions or the ``verify`` command's checks, on up to two
+threads; each piece draws from its own substream, so the outputs are the
+same bytes on one thread or two. The Monte Carlo checks build their sample
+matrices in chunks of rows, so their working set stays a small multiple of
+the sample matrix itself.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +49,7 @@ from .perturbation import PerturbationDensity, normalizer_c
 
 __all__ = [
     "CheckReport",
+    "Lanes",
     "check_normalizer",
     "check_density_mass",
     "check_density_sampler",
@@ -115,6 +126,104 @@ def _max_rel_err(estimate, oracle) -> float | None:
 
 def _unnormalized_density(x, a):
     return (math.exp(a) - np.exp(x)) * (math.exp(a) - np.exp(-x))
+
+
+# rows of a sample matrix the Monte Carlo checks turn into values at a time
+_CHUNK_ROWS = 1 << 16
+
+
+def _chunks(n: int):
+    """Slices of at most _CHUNK_ROWS consecutive rows that cover range(n)."""
+    return (slice(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS))
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class Lanes:
+    """The calling thread plus, when two or more CPUs are available, one helper thread.
+
+    Both lanes take tasks from one queue. A thread waiting in ``map`` for
+    its own tasks runs queued tasks meanwhile, so a task may queue tasks of
+    its own, and a lone lane still runs everything. Use it as a context
+    manager: leaving the block stops the helper.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._queue = deque()
+        self._closed = False
+        self._helper = None
+        if _cpu_count() > 1:
+            self._helper = threading.Thread(target=self._work_until,
+                                            args=(lambda: self._closed,), daemon=True)
+            self._helper.start()
+
+    def __enter__(self) -> "Lanes":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        # after an interrupt the daemon helper is left to end with the process
+        if self._helper is not None and exc_type is None:
+            self._helper.join()
+
+    def _work_until(self, done):
+        while True:
+            with self._cond:
+                while not (done() or self._queue):
+                    self._cond.wait()
+                if done():
+                    return
+                task = self._queue.popleft()
+            task()
+
+    def map(self, fn, items, order=None) -> list:
+        """``[fn(x) for x in items]``, with the calls shared between the lanes.
+
+        The calls start in ``order``, a permutation of the positions of
+        ``items`` (default: list order), each under the caller's numpy error
+        state. If calls raise, the exception of the first of them in list
+        order is raised, as a loop would have.
+        """
+        items = list(items)
+        results = [None] * len(items)
+        errors = {}
+        left = [len(items)]
+        errstate = np.geterr()
+
+        def call(i):
+            try:
+                with np.errstate(**errstate):
+                    results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc  # raised again in the calling thread
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt ends the wait at once
+            finally:
+                with self._cond:
+                    left[0] -= 1
+                    self._cond.notify_all()
+
+        with self._cond:
+            self._queue.extend(functools.partial(call, i)
+                               for i in (range(len(items)) if order is None else order))
+            self._cond.notify_all()
+        self._work_until(lambda: left[0] == 0)
+        if errors:
+            raise errors[min(errors)]
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +390,11 @@ def check_stein(theta, target, sigma2: float, n: int, rng: RngStream,
     d = theta.shape[0]
     gen = rng.generator()
     xi = gen.normal(0.0, math.sqrt(sigma2), size=(n, d))
-    values = loss.evaluate_many(theta[None, :] + xi)[:, None] * xi
-    estimate, se = _mean_se(values)
+    # each row of xi becomes its product L(theta + xi) xi in place
+    for rows in _chunks(n):
+        block = xi[rows]
+        block *= loss.evaluate_many(theta[None, :] + block)[:, None]
+    estimate, se = _mean_se(xi)
     oracle = -2.0 * sigma2 * (loss.target - theta)
     ok = True
     for j in range(d):
@@ -306,8 +418,12 @@ def _raw_step_mc(loss, theta, a, alpha, n, gen):
     """Monte Carlo mean of the zero-baseline step alpha L(theta+U)(e^-U - e^U)."""
     d = theta.shape[0]
     u = gen.uniform(-a, a, size=(n, d))
-    values = alpha * loss.evaluate_many(theta[None, :] + u)[:, None] * (np.exp(-u) - np.exp(u))
-    return _mean_se(values)
+    # each row of u becomes its step value in place
+    for rows in _chunks(n):
+        block = u[rows]
+        block[...] = (alpha * loss.evaluate_many(theta[None, :] + block)[:, None]
+                      * (np.exp(-block) - np.exp(block)))
+    return _mean_se(u)
 
 
 def _grad_form_mc(loss, theta, a, alpha, n, gen):
@@ -315,10 +431,13 @@ def _grad_form_mc(loss, theta, a, alpha, n, gen):
     d = theta.shape[0]
     ea = math.exp(a)
     u = gen.uniform(-a, a, size=(n, d))
-    grads = loss.gradient_many(theta[None, :] + u)
-    eu = np.exp(u)
-    values = -alpha * math.exp(-a) * grads * (ea - eu) * (ea - 1.0 / eu)
-    return _mean_se(values)
+    # each row of u becomes its value in place
+    for rows in _chunks(n):
+        block = u[rows]
+        grads = loss.gradient_many(theta[None, :] + block)
+        eu = np.exp(block)
+        block[...] = -alpha * math.exp(-a) * grads * (ea - eu) * (ea - 1.0 / eu)
+    return _mean_se(u)
 
 
 def _mean_step_quadrature(loss, theta, a, alpha):
@@ -415,7 +534,9 @@ def check_componentwise(loss: LossFunction, theta, half_interval: float,
         gen = rng.substream(0, j).generator()
         u = gen.uniform(-a, a, size=(n, d))
         u[:, j] = pd.sample(gen, size=n)
-        partials = loss.gradient_many(theta[None, :] + u)[:, j]
+        partials = np.empty(n)
+        for rows in _chunks(n):
+            partials[rows] = loss.gradient_many(theta[None, :] + u[rows])[:, j]
         estimate[j] = prefactor * partials.mean()
         se[j] = abs(prefactor) * partials.std(ddof=1) / math.sqrt(n)
     oracle, oracle_se = _raw_step_mc(loss, theta, a, alpha, n, rng.substream(1).generator())
@@ -444,8 +565,12 @@ def check_zero_mean_prev(loss: LossFunction, theta_prev, half_interval: float,
     gen = rng.generator()
     u_prev = gen.uniform(-a, a, size=(n, d))
     u = gen.uniform(-a, a, size=(n, d))
-    values = loss.evaluate_many(theta_prev[None, :] + u_prev)[:, None] * (np.exp(-u) - np.exp(u))
-    estimate, se = _mean_se(values)
+    # each row of u becomes its value in place
+    for rows in _chunks(n):
+        block = u[rows]
+        block[...] = (loss.evaluate_many(theta_prev[None, :] + u_prev[rows])[:, None]
+                      * (np.exp(-block) - np.exp(block)))
+    estimate, se = _mean_se(u)
     ok = bool(np.all(np.abs(estimate) <= 3.0 * se))
     return CheckReport(
         name="zero-mean-prev", n=n, seed=rng.seed,
@@ -462,44 +587,86 @@ def check_zero_mean_prev(loss: LossFunction, theta_prev, half_interval: float,
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(np.float64).max)
 
 
+# values per chunk of draws in one sweep row; a row holds two such buffers
+_SWEEP_CHUNK = 1 << 20
+# values per chunk of the one-pass sweep these chunks reproduce
+_SWEEP_BLOCK = 4_000_000
+
+
+def _sweep_chunks(n: int, d: int):
+    """(start, rows) chunks of a sweep row's n draws of dimension d.
+
+    The chunks split the blocks of _SWEEP_BLOCK values the sweep was first
+    computed in. einsum sums a row of more than 8192 values (its buffer)
+    one way when the row is alone in its array and another way when it is
+    not, so a chunk leaves a row alone only where its block did: a chunk
+    holds _SWEEP_CHUNK // d rows but at least two, and one more where the
+    block would otherwise end with a lone row.
+    """
+    block = max(1, _SWEEP_BLOCK // d)
+    step = max(2, _SWEEP_CHUNK // d)
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        while start < end:
+            rows = min(step, end - start)
+            if end - start - rows == 1:
+                rows += 1
+            yield start, rows
+            start += rows
+
+
+def _variance_row(d: int, sigma2: float, n: int, gen: np.random.Generator,
+                  delta: float):
+    """(d, variance, variance_se) of coordinate 0 of L(theta + xi) xi / sigma2 at dimension d."""
+    sd = math.sqrt(sigma2)
+    gap = np.full(d, delta)
+    values = np.empty(n)
+    size = max((rows for _, rows in _sweep_chunks(n, d)), default=0) * d
+    xi_buffer = np.empty(size)
+    residual_buffer = np.empty(size)
+    # an extreme sigma2 or delta overflows; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, m in _sweep_chunks(n, d):
+            xi = xi_buffer[:m * d].reshape(m, d)
+            # the draws of gen.normal(0.0, sd, size=(m, d)), without its temporaries
+            gen.standard_normal(out=xi)
+            xi *= sd
+            residual = np.subtract(gap, xi, out=residual_buffer[:m * d].reshape(m, d))
+            loss_vals = np.einsum("ij,ij->i", residual, residual)
+            values[start:start + m] = loss_vals * xi[:, 0] / sigma2
+        var = float(values.var(ddof=1))
+        centered = values - values.mean()
+        m4 = float(np.mean(centered ** 4))
+    if not (math.isfinite(m4) and var < _SQRT_FLOAT_MAX):
+        raise ValueError(f"the variance at d={d} leaves the floating-point range "
+                         f"(sigma2={sigma2!r}, delta={delta!r})")
+    return d, var, math.sqrt(max(m4 - var ** 2, 0.0) / n)
+
+
 def variance_scaling_sweep(dims, sigma2: float, n: int, rng: RngStream,
-                           delta: float = 1.0):
+                           delta: float = 1.0, lanes: Lanes | None = None):
     """Per-coordinate variance of the scaled one-point product across dims.
 
     For the squared-distance loss with a constant per-coordinate gap
     ``delta``, estimates Var of coordinate 0 of L(theta + xi) xi / sigma2
     at each dimension and fits a log-log slope. Returns
     (rows, slope, slope_se) with rows of (dim, variance, variance_se);
-    slope is None when fewer than two dimensions are given.
+    slope is None when fewer than two dimensions are given. The rows run
+    on ``lanes`` (by default, lanes of their own), largest dimension first.
     """
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
         raise ValueError("dims must be positive")
-    rows = []
-    sd = math.sqrt(sigma2)
-    for idx, d in enumerate(dims):
-        gen = rng.substream(idx).generator()
-        gap = np.full(d, delta)
-        values = np.empty(n)
-        filled = 0
-        chunk_rows = max(1, 4_000_000 // d)
-        # an extreme sigma2 or delta overflows; that is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            while filled < n:
-                m = min(chunk_rows, n - filled)
-                xi = gen.normal(0.0, sd, size=(m, d))
-                residual = gap - xi
-                loss_vals = np.einsum("ij,ij->i", residual, residual)
-                values[filled:filled + m] = loss_vals * xi[:, 0] / sigma2
-                filled += m
-            var = float(values.var(ddof=1))
-            centered = values - values.mean()
-            m4 = float(np.mean(centered ** 4))
-        if not (math.isfinite(m4) and var < _SQRT_FLOAT_MAX):
-            raise ValueError(f"the variance at d={d} leaves the floating-point range "
-                             f"(sigma2={sigma2!r}, delta={delta!r})")
-        var_se = math.sqrt(max(m4 - var ** 2, 0.0) / n)
-        rows.append((d, var, var_se))
+    if n < 2:
+        # a variance from fewer draws is undefined, and numpy warns about it
+        raise ValueError(f"the variance sweep needs n >= 2, not {n}")
+
+    def row(idx):
+        return _variance_row(dims[idx], sigma2, n, rng.substream(idx).generator(), delta)
+
+    largest_first = sorted(range(len(dims)), key=lambda idx: -dims[idx])
+    with Lanes() if lanes is None else contextlib.nullcontext(lanes) as lanes:
+        rows = lanes.map(row, range(len(dims)), largest_first)
     if len(dims) < 2:
         return rows, None, None
     logs_d = np.log([r[0] for r in rows])
@@ -515,13 +682,16 @@ def variance_scaling_sweep(dims, sigma2: float, n: int, rng: RngStream,
 
 
 def check_variance_scaling(dims, sigma2: float, n: int, rng: RngStream,
-                           delta: float = 1.0,
-                           band=(1.7, 2.3)) -> CheckReport:
-    """Fitted log-log slope of the variance sweep must land in ``band``."""
+                           delta: float = 1.0, band=(1.7, 2.3),
+                           lanes: Lanes | None = None) -> CheckReport:
+    """Fitted log-log slope of the variance sweep must land in ``band``.
+
+    The sweep's rows run on ``lanes``, as in ``variance_scaling_sweep``.
+    """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or max(dims) < 10 * min(dims):
         raise ValueError("variance scaling check needs dims spanning at least a decade")
-    rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, rng, delta)
+    rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, rng, delta, lanes=lanes)
     ok = band[0] <= slope <= band[1]
     return CheckReport(
         name="variance-scaling", n=n, seed=rng.seed,

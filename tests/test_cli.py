@@ -7,14 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spikezero.cli import main
+import one_pass_reference as one_pass
+from spikezero import cli
+from spikezero.cli import _run_check, main
+from spikezero.core import RngStream
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,6 +104,75 @@ def test_verify_seed_rerun_is_byte_identical(tmp_path):
     assert main(["verify", "--config", cfg, "--seed", "42", "--out", str(a)]) == 0
     assert main(["verify", "--config", cfg, "--seed", "42", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def serial_report(checks, seed, half_interval, samples) -> str:
+    """The verify report of ``_run_check`` calls made one after another on one thread."""
+    reports = []
+    with pytest.MonkeyPatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for name in checks:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                reports.append(_run_check(name, seed, half_interval, samples.get(name)))
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+
+
+SMALL_VERIFY_WITH_SWEEP = {
+    "checks": ["variance-scaling", "componentwise", "stein", "divergence", "mean-step-quartic",
+               "zero-mean-prev"],
+    "seed": 4, "half_interval": 0.8,
+    "samples": {"variance-scaling": 3000, "componentwise": 20_000, "stein": 30_000,
+                "mean-step-quartic": 20_000, "zero-mean-prev": 70_000}}
+
+
+@pytest.mark.parametrize("config", ["verify_quick", "small-with-sweep"])
+def test_verify_report_equals_serial_checks(tmp_path, configs_dir, cpus, config):
+    if config == "verify_quick":
+        doc = json.loads((configs_dir / "verify_quick.json").read_text())
+    else:
+        doc = SMALL_VERIFY_WITH_SWEEP
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "verify.json", {**doc, "out": str(out)})
+    assert main(["verify", "--config", cfg]) in (0, 1)
+    assert out.read_text() == serial_report(doc["checks"], doc["seed"], doc["half_interval"],
+                                            doc.get("samples", {}))
+
+
+@pytest.mark.parametrize("checks,named", [(["variance-scaling", "stein"], "variance-scaling"),
+                                          (["stein", "variance-scaling"], "stein")])
+def test_first_failing_check_in_config_order_is_named(tmp_path, capsys, monkeypatch, cpus,
+                                                      checks, named):
+    def late_failure(*args, **kwargs):
+        time.sleep(0.2)  # fails after stein has failed on the other lane
+        raise ValueError("late failure")
+
+    monkeypatch.setattr(cli, "check_variance_scaling", late_failure)
+    cfg = write_config(tmp_path, "verify.json", {"checks": checks, "samples": {"stein": 5},
+                                                 "out": str(tmp_path / "report.json")})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: check {named!r}: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+def run_warnings_as_errors(tmp_path, command, doc):
+    cfg = write_config(tmp_path, "config.json", {**doc, "out": str(tmp_path / "out")})
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "spikezero.cli", command,
+                           "--config", cfg], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # every row overflows, the largest first; the first in dims order is named
+    ("sweep", {"dims": [2, 300, 4], "samples_per_dim": 20, "sigma2": 1e-300},
+     "error: the variance at d=2 leaves the floating-point range"),
+    ("verify", {"checks": ["normalizer", "variance-scaling"], "samples": {"variance-scaling": 1}},
+     "error: check 'variance-scaling': the variance sweep needs n >= 2, not 1"),
+])
+def test_sweep_row_failure_exits_two_without_warnings(tmp_path, command, doc, message):
+    result = run_warnings_as_errors(tmp_path, command, doc)
+    assert result.returncode == 2
+    assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +349,17 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
      "transform.lam"),
     ("spike-demo", {"plasticity": False, "transform": {"lam": [1.0, math.nan, 1.0]}},
      "transform.lam"),
+    # non-finite spike-demo scalars
+    ("spike-demo", {"input_scale": math.inf}, "input_scale"),
+    ("spike-demo", {"input_scale": math.inf, "plasticity": False}, "input_scale"),
+    ("spike-demo", {"input_offset": math.nan}, "input_offset"),
+    ("spike-demo", {"readout": {"scale": math.inf}}, "readout.scale"),
+    ("spike-demo", {"readout": {"offset": -math.inf}}, "readout.offset"),
+    ("spike-demo", {"readout": {"sentinel": math.nan}}, "readout.sentinel"),
+    ("spike-demo", {"reward_delta": math.nan}, "reward_delta"),
+    ("spike-demo", {"alpha": math.inf}, "alpha"),
+    ("spike-demo", {"params": {"decay": math.inf}}, "decay"),
+    ("spike-demo", {"params": {"threshold": math.inf}}, "threshold"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -326,6 +411,19 @@ def test_sweep_single_dim_has_no_slope(tmp_path):
     sidecar = json.loads((tmp_path / "one.json").read_text())
     assert sidecar["slope"] is None
     assert sidecar["message"] == "insufficient points"
+
+
+def test_sweep_csv_equals_the_serial_one_pass_loop(tmp_path, cpus):
+    dims, sigma2, n, seed = [10, 300, 32, 1000], 0.7, 4001, 6
+    cfg = write_config(tmp_path, "sweep.json",
+                       {"dims": dims, "sigma2": sigma2, "samples_per_dim": n, "seed": seed,
+                        "out": str(tmp_path / "s.csv")})
+    assert main(["sweep", "--config", cfg]) == 0
+    rng = RngStream(seed)
+    rows = [one_pass.variance_row(d, sigma2, n, rng.substream(idx).generator())
+            for idx, d in enumerate(dims)]
+    assert (tmp_path / "s.csv").read_text() == "d,quantity,value,se\n" + "".join(
+        f"{d},variance,{var!r},{se!r}\n" for d, var, se in rows)
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):

@@ -1,18 +1,29 @@
 import json
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import one_pass_reference as one_pass
+from spikezero import verification
 from spikezero.core import RngStream
 from spikezero.losses import LeastSquaresLoss, LossFunction, PowerLoss
 from spikezero.perturbation import PerturbationDensity, normalizer_c
 from spikezero.verification import (
     DEFAULT_HALF_INTERVALS,
+    Lanes,
     _chi2_quantile,
+    _grad_form_mc,
     _integrate,
+    _mean_se,
     _mean_step_quadrature,
+    _raw_step_mc,
     _unnormalized_density,
     check_componentwise,
     check_density_mass,
@@ -338,3 +349,196 @@ class TestReportSerialization:
         assert doc["estimate"][0] == "inf"
         text = json.dumps(doc)
         assert "Infinity" not in text
+
+
+# ---------------------------------------------------------------------------
+# chunked kernels, lanes and working set
+
+
+# two full chunks of rows and a remainder
+CHUNKED_N = 2 * verification._CHUNK_ROWS + 3
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(np.asarray(actual), np.asarray(expected), strict=True)
+
+
+class TestChunkedKernelsMatchOnePass:
+    def test_sampler(self):
+        pd = PerturbationDensity(0.8)
+        assert_same_bits(pd.sample(RngStream(60).generator(), size=CHUNKED_N),
+                         one_pass.sample(pd, RngStream(60).generator(), CHUNKED_N))
+
+    def test_density(self):
+        pd = PerturbationDensity(0.8)
+        x = np.linspace(-0.8, 0.8, 101)
+        ea = math.exp(0.8)
+        expected = (ea - np.exp(x)) * (ea - 1.0 / np.exp(x)) / pd.normalizer
+        assert_same_bits(pd.density(x), expected)
+
+    def test_stein(self):
+        theta = np.array([0.0, 0.5, -1.0, 2.0, 0.1])
+        report = check_stein(theta, np.ones(5), 0.7, CHUNKED_N, RngStream(61))
+        values = one_pass.stein_values(LeastSquaresLoss(np.ones(5)), theta, 0.7, CHUNKED_N,
+                                       RngStream(61).generator())
+        mean, se = _mean_se(values)
+        assert_same_bits(report.estimate, mean)
+        assert_same_bits(report.se, se)
+
+    @pytest.mark.parametrize("loss,theta", [(LeastSquaresLoss([1.0, -0.5, 2.0]), [0.2, 0.0, 1.0]),
+                                            (PowerLoss(4, dim=2), [0.5, -1.0])])
+    def test_step_routes(self, loss, theta):
+        theta = np.asarray(theta)
+        for route, reference in ((_raw_step_mc, one_pass.raw_step_values),
+                                 (_grad_form_mc, one_pass.grad_form_values)):
+            got = route(loss, theta, 0.9, 0.3, CHUNKED_N, RngStream(62).generator())
+            want = _mean_se(reference(loss, theta, 0.9, 0.3, CHUNKED_N,
+                                      RngStream(62).generator()))
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_zero_mean_prev(self):
+        loss = PowerLoss(4, dim=2)
+        report = check_zero_mean_prev(loss, [0.5, -1.0], 1.0, CHUNKED_N, RngStream(63))
+        mean, se = _mean_se(one_pass.zero_mean_values(loss, np.array([0.5, -1.0]), 1.0,
+                                                      CHUNKED_N, RngStream(63).generator()))
+        assert_same_bits(report.estimate, mean)
+        assert_same_bits(report.se, se)
+
+    def test_componentwise(self):
+        loss = LeastSquaresLoss([1.0, -0.5, 2.0])
+        theta = np.zeros(3)
+        rng = RngStream(64)
+        report = check_componentwise(loss, theta, 1.0, 1.0, CHUNKED_N, rng)
+        pd = PerturbationDensity(1.0)
+        prefactor = -math.exp(-1.0) * pd.normalizer / 2.0
+        partials = [one_pass.componentwise_partials(loss, theta, pd, j, CHUNKED_N,
+                                                    rng.substream(0, j).generator())
+                    for j in range(3)]
+        assert_same_bits(report.estimate, [prefactor * p.mean() for p in partials])
+        _, oracle_se = _mean_se(one_pass.raw_step_values(loss, theta, 1.0, 1.0, CHUNKED_N,
+                                                         rng.substream(1).generator()))
+        se = np.array([abs(prefactor) * p.std(ddof=1) / math.sqrt(CHUNKED_N) for p in partials])
+        assert_same_bits(report.se, np.sqrt(se ** 2 + oracle_se ** 2))
+
+
+class TestVarianceSweepRows:
+    # 8193 is past einsum's 8192-value buffer, where a row alone in its
+    # chunk sums differently; n = 489 left one alone in the one-pass chunks.
+    # 700000 at n = 3 would split into 2 + 1 rows; 2100000 was always alone.
+    @pytest.mark.parametrize("dims,n", [([10, 8193, 1, 300], 489),
+                                        ([2_100_000, 700_000], 3)])
+    def test_rows_equal_the_serial_one_pass_loop(self, cpus, dims, n):
+        rng = RngStream(65)
+        rows, slope, _ = variance_scaling_sweep(dims, 0.6, n, rng, delta=1.3)
+        expected = [one_pass.variance_row(d, 0.6, n, rng.substream(idx).generator(), 1.3)
+                    for idx, d in enumerate(dims)]
+        assert rows == expected
+        assert slope is not None
+
+    def test_overflow_names_the_first_dim_in_order(self, cpus):
+        # every row overflows; the first in dims order is reported, although
+        # the largest runs first
+        with pytest.raises(ValueError, match=r"at d=2 "):
+            variance_scaling_sweep([2, 300, 4], 1e-300, 20, RngStream(66))
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            variance_scaling_sweep([2, 4], 1.0, 1, RngStream(67))
+
+    def test_row_working_set_is_two_chunk_buffers(self):
+        n = 20_000
+        tracemalloc.start()
+        try:
+            variance_scaling_sweep([1000], 1.0, n, RngStream(68))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the one-pass row held 4M-value draw and residual arrays (92 MiB)
+        assert peak <= 8 * (2 * verification._SWEEP_CHUNK + 4 * n) + 2 ** 20
+
+
+def test_componentwise_working_set():
+    n = 300_000
+    tracemalloc.start()
+    try:
+        check_componentwise(LeastSquaresLoss([1.0, -0.5, 2.0]), np.zeros(3), 1.0, 1.0, n,
+                            RngStream(69))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # per sample: 3 uniform draws, the sampler's output and its four
+    # 1.6-sample proposal arrays, the accepted draws and the mask, and two
+    # chunks of rows; the one-pass code peaked at about 17 values
+    assert peak <= 8 * 13 * n
+
+
+class TestLanes:
+    def test_map_keeps_list_order_and_runs_on_two_threads(self, cpus):
+        barrier = threading.Barrier(cpus, timeout=10)
+
+        def work(x):
+            barrier.wait()  # passes only when one task per lane is waiting
+            return x * x, threading.get_ident()
+
+        with Lanes() as lanes:
+            results = lanes.map(work, range(2 * cpus), order=[3, 2, 1, 0][-2 * cpus:])
+        assert [r[0] for r in results] == [x * x for x in range(2 * cpus)]
+        assert len({r[1] for r in results}) == cpus
+
+    def test_first_failure_in_list_order_is_raised(self, cpus):
+        def work(x):
+            if x == 1:
+                time.sleep(0.1)  # fails after item 3 has failed
+            if x in (1, 3):
+                raise KeyError(x)
+            return x
+
+        with Lanes() as lanes:
+            with pytest.raises(KeyError, match="1"):
+                lanes.map(work, range(5), order=[4, 3, 2, 1, 0])
+
+    def test_nested_map_finishes(self, cpus):
+        with Lanes() as lanes:
+            results = lanes.map(lambda k: sum(lanes.map(lambda x: k * x, range(4))), range(3))
+        assert results == [0, 6, 12]
+
+    def test_many_small_tasks_under_fast_thread_switching(self, cpus):
+        # a lost update of a map's count of open tasks would leave it waiting forever
+        done = []
+
+        def run():
+            with Lanes() as lanes:
+                done.append(lanes.map(lambda k: sum(lanes.map(lambda x: x + k, range(20))),
+                                      range(200)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert done == [[190 + 20 * k for k in range(200)]]
+
+    def test_an_interrupt_ends_the_map_at_once(self, monkeypatch):
+        # on one CPU every task runs on the calling thread, where interrupts arrive
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        ran = []
+
+        def work(x):
+            ran.append(x)
+            if x == 0:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            with Lanes() as lanes:
+                lanes.map(work, range(3))
+        assert ran == [0]
+
+    def test_tasks_run_under_the_callers_error_state(self, cpus):
+        with Lanes() as lanes, np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                lanes.map(lambda x: np.exp(np.array([x])), [1.0, 1000.0])
