@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 
@@ -205,13 +206,21 @@ def _out(args, doc: dict, default: str) -> Path:
     return Path(out)
 
 
-def _write_text(path: Path, text: str):
+@contextmanager
+def _output(path: Path):
+    """``path`` open for writing text; an OSError while opening, writing or
+    closing it is a ConfigError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_text(path: Path, text: str):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +532,7 @@ def cmd_spike_demo(args) -> int:
     weight_vec = _vector(doc.get("weights", {"fill": 1.0}), len(edges), "weights")
     if not np.all((weight_vec > 0) & (weight_vec < math.inf)):
         raise ConfigError("weights must be positive and finite")
-    weights = {e: float(weight_vec[i]) for i, e in enumerate(edges)}
+    weights = weight_vec.tolist()
 
     input_vec = _vector(doc.get("input_vector", {"fill": 0.0}), len(topology.inputs),
                         "input_vector")
@@ -543,7 +552,7 @@ def cmd_spike_demo(args) -> int:
         reward_delta = _finite(reward_delta, "reward_delta")
     alpha = _finite(doc.get("alpha", 1.0), "alpha")
     plasticity = _flag(doc, "plasticity", True)
-    lam = None
+    scaled = log_lam = None
     if doc.get("transform") is not None:
         tdoc = doc["transform"]
         _check_keys(tdoc, {"lam"}, "transform")
@@ -554,55 +563,60 @@ def cmd_spike_demo(args) -> int:
             # shifted offsets leave the plasticity timing window and scaled
             # weights would evolve differently, defeating the comparison
             raise ConfigError("transform requires plasticity to be disabled")
-        lam = {e: float(lam_vec[i]) for i, e in enumerate(edges)}
+        lam = lam_vec.tolist()
+        # without plasticity the scaled weights hold for the whole run
+        scaled = [x * w for x, w in zip(lam, weights)]
+        zero = next((k for k, w in enumerate(scaled) if not w > 0), None)
+        if zero is not None:
+            i, j = edges[zero]
+            raise ConfigError(f"transform.lam times the weight of edge {i}->{j} underflows to 0")
+        log_lam = [math.log(x) for x in lam]
 
+    # Weights, offsets, arrivals and firing times are lists in edge and
+    # neuron order. Each trial's rows are one "%.12g" template per row,
+    # which gives the bytes of f"{x:.12g}", and go to the file as one
+    # string when the trial ends; joined by the trial number, the row
+    # pieces below become the rows.
+    labels = [f"{i}->{j}" for i, j in edges]
+    arrival_rows = [f",{label},arrival,%.12g\n" for label in labels]
+    firing_rows = [f",{nid},firing,%.12g\n" for nid in range(topology.n_neurons)]
+    readout_row = f",{topology.outputs[0]},readout,%.12g\n"
+    weight_rows = tuple(f",{label},weight,%.12g\n" for label in labels)
     a = params.half_interval
     gen = RngStream(seed).substream(0).generator()
-    log_lam = None if lam is None else {e: math.log(v) for e, v in lam.items()}
-    # a trial's rows are written at once from one "%.12g" template per row,
-    # which gives the bytes of f"{x:.12g}"; "{t}" stands for the trial number
-    labels = [f"{i}->{j}" for i, j in edges]
-    arrival_rows = [f"{{t}},{label},arrival,%.12g" for label in labels]
-    firing_rows = [f"{{t}},{nid},firing,%.12g" for nid in range(topology.n_neurons)]
-    readout_row = f"{{t}},{topology.outputs[0]},readout,%.12g"
-    weight_rows = [f"{{t}},{label},weight,%.12g" for label in labels]
-    lines = ["trial,edge_or_neuron,kind,value"]
-
-    current = dict(weights)
     failed = None
-    for t in range(trials):
-        offsets = dict(zip(edges, gen.uniform(-a, a, size=len(edges)).tolist()))
-        if lam is not None:
-            use_weights = {e: lam[e] * current[e] for e in edges}
-            use_offsets = {e: offsets[e] - log_lam[e] for e in edges}
-        else:
-            use_weights = current
-            use_offsets = offsets
-        record = run_trial(topology, use_weights, input_times, params,
-                           offsets=use_offsets, readout_scale=readout_scale,
-                           readout_offset=readout_offset, sentinel=sentinel)
-        if plasticity:
-            current = plasticity_update(topology, current, record, params,
-                                        reward_delta=reward_delta, alpha=alpha)
-
-        arrived = [e in record.arrivals for e in edges]
-        spiked = sorted(nid for nid, ft in record.firing.items() if ft is not None)
-        rows = [*compress(arrival_rows, arrived), *map(firing_rows.__getitem__, spiked),
-                readout_row, *weight_rows]
-        values = (*map(record.arrivals.__getitem__, compress(edges, arrived)),
-                  *map(record.firing.__getitem__, spiked), record.readout,
-                  *map(current.__getitem__, edges))
-        lines.append("\n".join(rows).replace("{t}", str(t)) % values)
-        if plasticity:
+    with _output(out) as fh:
+        fh.write("trial,edge_or_neuron,kind,value\n")
+        for t in range(trials):
+            offsets = gen.uniform(-a, a, size=len(edges)).tolist()
+            if scaled is not None:
+                offsets = [u - x for u, x in zip(offsets, log_lam)]
+            record = run_trial(topology, weights if scaled is None else scaled, input_times,
+                               params, offsets=offsets, readout_scale=readout_scale,
+                               readout_offset=readout_offset, sentinel=sentinel)
+            if plasticity:
+                weights = plasticity_update(topology, weights, record, params,
+                                            reward_delta=reward_delta, alpha=alpha)
+            arrived = [x is not None for x in record.arrival_times]
+            spiked = [x is not None for x in record.firing_times]
+            pieces = ["", *compress(arrival_rows, arrived), *compress(firing_rows, spiked),
+                      readout_row, *weight_rows]
+            values = (*compress(record.arrival_times, arrived),
+                      *compress(record.firing_times, spiked), record.readout, *weights)
+            fh.write(str(t).join(pieces) % values)
             # the next trial needs positive, finite weights; the rows so far are kept
-            failed = next((e for e in edges if not 0 < current[e] < math.inf), None)
-            if failed is not None:
-                break
+            if plasticity and weights and not (min(weights) > 0
+                                               and math.isfinite(sum(weights))):
+                # min and sum catch every weight that fails, NaN included
+                failed = next((k for k, w in enumerate(weights) if not 0 < w < math.inf),
+                              None)
+                if failed is not None:
+                    break
 
-    _write_text(out, "\n".join(lines) + "\n")
     if failed is not None:
-        print(f"spike-demo failed at trial {t}: plasticity left edge {failed[0]}->{failed[1]} "
-              f"with weight {current[failed]!r}", file=sys.stderr)
+        i, j = edges[failed]
+        print(f"spike-demo failed at trial {t}: plasticity left edge {i}->{j} "
+              f"with weight {weights[failed]!r}", file=sys.stderr)
         return 1
     return 0
 

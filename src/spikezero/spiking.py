@@ -16,12 +16,17 @@ The second form is what makes the learning rule a zero-order method: the
 whole downstream readout is a function of w * e^U, so weight information
 travels only through spike times.
 
-A :class:`Topology` precomputes each neuron's incoming edges once, so a
-trial costs O(E) rather than a scan of the edge list per neuron.
+A :class:`Topology` precomputes each neuron's incoming edges and each
+edge's child neuron once, so a trial costs O(E) rather than a scan of the
+edge list per neuron. The trial walk and the plasticity pass run on lists
+in edge order: one weight, timing offset and arrival time (None where no
+spike arrived) per edge, and one firing time per neuron. :func:`run_trial`
+takes its weights and offsets as such lists or as dicts keyed by edge, and
+its :class:`TrialRecord` spells the lists out as dicts on request.
 :func:`plasticity_update` applies one trial's plasticity to every edge with
 one kernel evaluation per edge, from which both the unsupervised and the
-reward-modulated change follow; :func:`stdp_update` is the same rule for a
-single edge.
+reward-modulated change follow; it returns a list for a list and a dict for
+a dict. :func:`stdp_update` is the same rule for a single edge.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import graphlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -95,8 +100,16 @@ class Topology:
         fan_in = [[] for _ in ids]
         for k, (i, j) in enumerate(edges):
             fan_in[j].append((k, i))
-        object.__setattr__(self, "_fan_in", tuple(map(tuple, fan_in)))
-        object.__setattr__(self, "_input_set", frozenset(inputs))
+        fan_in = tuple(map(tuple, fan_in))
+        object.__setattr__(self, "_fan_in", fan_in)
+        object.__setattr__(self, "_child", tuple(j for _, j in edges))
+        object.__setattr__(self, "_child_index", np.array(self._child, dtype=np.intp))
+        # the neurons a trial walks, in topological order with their fan-in;
+        # an input neuron fires at its assigned time, whatever reaches it
+        walk = tuple((j, fan_in[j]) for j in order if j not in inputs)
+        object.__setattr__(self, "_walk", walk)
+        # edge indices in the order a trial delivers their spikes
+        object.__setattr__(self, "_delivery", tuple(k for _, fan in walk for k, _ in fan))
 
     @property
     def order(self) -> tuple:
@@ -169,19 +182,22 @@ def next_spike_time(arrivals, threshold: float, decay: float = 1.0) -> float | N
     Between arrivals the potential only decays, so crossings can only
     happen at arrival instants.
     """
-    ordered = sorted(arrivals, key=itemgetter(1))
+    exp = math.exp
     level = 0.0
     prev_t = None
-    for w, tau in ordered:
+    for w, tau in sorted(arrivals, key=_arrival_time):
         if w <= 0:
             raise ValueError("weights must be positive")
         if prev_t is not None:
-            level *= math.exp(decay * (prev_t - tau))
+            level *= exp(decay * (prev_t - tau))
         level += w
-        prev_t = tau
         if level >= threshold:
             return tau
+        prev_t = tau
     return None
+
+
+_arrival_time = itemgetter(1)
 
 
 def interarrival_time(weights, offsets, threshold: float) -> float:
@@ -269,74 +285,101 @@ def stdp_update(weight: float, arrival: float, t_minus: float, t_plus: float,
 
 @dataclass
 class TrialRecord:
-    """Everything observable from one trial."""
+    """Everything observable from one trial.
 
-    arrivals: dict
-    offsets: dict
-    firing: dict
+    ``arrival_times`` and ``edge_offsets`` hold one value per edge in edge
+    order, an arrival time of None marking an edge whose spike never
+    arrived; ``firing_times`` holds one firing time per neuron, None for a
+    neuron that stayed silent. ``arrivals``, ``offsets``, ``firing`` and
+    ``fired_edges`` spell them out by edge and by neuron.
+    """
+
+    topology: Topology
+    arrival_times: list
+    edge_offsets: list
+    firing_times: list
     readout: float
     output_neuron: int
     output_fired: bool
-    fired_edges: tuple = field(default_factory=tuple)
+
+    @property
+    def arrivals(self) -> dict:
+        """Arrival time by edge, in delivery order; only edges whose spike arrived."""
+        edges, arrival = self.topology.edges, self.arrival_times
+        return {edges[k]: arrival[k] for k in self.topology._delivery
+                if arrival[k] is not None}
+
+    @property
+    def fired_edges(self) -> tuple:
+        """The edges whose spike arrived, in the order the trial delivered them."""
+        return tuple(self.arrivals)
+
+    @property
+    def offsets(self) -> dict:
+        return dict(zip(self.topology.edges, self.edge_offsets))
+
+    @property
+    def firing(self) -> dict:
+        """Firing time by neuron, in topological order."""
+        times = self.firing_times
+        return {j: times[j] for j in self.topology.order}
 
 
-def run_trial(topology: Topology, weights: dict, input_times: dict,
+def run_trial(topology: Topology, weights, input_times: dict,
               params: KernelParams, gen: np.random.Generator | None = None,
-              offsets: dict | None = None, readout_scale: float = 1.0,
-              readout_offset: float = 0.0,
+              offsets=None, readout_scale: float = 1.0, readout_offset: float = 0.0,
               sentinel: float = NO_FIRE_READOUT) -> TrialRecord:
     """Simulate one trial: one spike per edge, threshold firing, readout.
 
-    Input neurons fire at the assigned ``input_times`` (a time of None
-    silences that input for the trial). Every edge gets a timing offset U,
-    drawn uniform on [-A, A] unless forced via ``offsets``; the spike from
-    i to j arrives at firing(i) + U_ij. Firing times use the jump-decay
-    crossing semantics. The readout is an affine function of the idealized
-    interarrival relation at the first output neuron, computed over edges
-    whose parent fired; trials where the output drive stays below threshold
-    get the ``sentinel`` readout so a loss is always defined.
+    ``weights`` and ``offsets`` are dicts keyed by edge or sequences of
+    floats in edge order. Input neurons fire at the assigned
+    ``input_times`` (a time of None silences that input for the trial).
+    Every edge gets a timing offset U, drawn uniform on [-A, A] unless
+    forced via ``offsets``; the spike from i to j arrives at
+    firing(i) + U_ij. Firing times use the jump-decay crossing semantics.
+    The readout is an affine function of the idealized interarrival
+    relation at the first output neuron, computed over edges whose parent
+    fired; trials where the output drive stays below threshold get the
+    ``sentinel`` readout so a loss is always defined.
     """
-    edge_list = topology.edges
-    w = _by_edge(weights, edge_list, "weight")
-    bad = next((e for e, x in zip(edge_list, w) if x <= 0), None)
-    if bad is not None:
-        raise ValueError(f"weight for edge {bad} must be positive")
+    w = _by_edge(weights, topology, "weight")
+    # min finds a weight at or below zero whenever one exists: a NaN is
+    # either min's result or ignored by it
+    if w and not min(w) > 0:
+        bad = next((e for e, x in zip(topology.edges, w) if x <= 0), None)
+        if bad is not None:
+            raise ValueError(f"weight for edge {bad} must be positive")
     for i in topology.inputs:
         if i not in input_times:
             raise ValueError(f"missing input spike time for neuron {i}")
 
-    a = params.half_interval
     if offsets is None:
         if gen is None:
             raise ValueError("run_trial needs a generator unless offsets are forced")
-        u = gen.uniform(-a, a, size=len(edge_list)).tolist()
-        offsets = dict(zip(edge_list, u))
+        a = params.half_interval
+        u = gen.uniform(-a, a, size=len(topology.edges)).tolist()
     else:
-        u = _by_edge(offsets, edge_list, "offset")
+        u = _by_edge(offsets, topology, "offset")
 
-    # the walk runs on edge indices: w, u and each neuron's fan-in are lists
-    # and tuples in edge order, and the dicts of the record are built once
-    fan_in, inputs = topology._fan_in, topology._input_set
-    threshold, decay = params.threshold, params.decay
     times = [None] * topology.n_neurons
-    arrival = {}                   # edge index -> arrival time, in delivery order
-    for j in topology.order:
-        if j in inputs:
-            assigned = input_times[j]
-            times[j] = None if assigned is None else float(assigned)
-            continue
+    for i in topology.inputs:
+        assigned = input_times[i]
+        times[i] = None if assigned is None else float(assigned)
+    threshold, decay = params.threshold, params.decay
+    spike_time = next_spike_time
+    arrival = [None] * len(u)
+    for j, fan in topology._walk:
         incoming = []
-        for k, i in fan_in[j]:
+        for k, i in fan:
             fired = times[i]
-            if fired is None:
-                continue
-            tau = fired + u[k]
-            arrival[k] = tau
-            incoming.append((w[k], tau))
-        times[j] = next_spike_time(incoming, threshold, decay) if incoming else None
+            if fired is not None:
+                tau = arrival[k] = fired + u[k]
+                incoming.append((w[k], tau))
+        if incoming:
+            times[j] = spike_time(incoming, threshold, decay)
 
     out = topology.outputs[0]
-    live = [k for k, i in fan_in[out] if times[i] is not None]
+    live = [k for k, i in topology._fan_in[out] if times[i] is not None]
     output_fired = False
     readout = sentinel
     if live:
@@ -346,29 +389,33 @@ def run_trial(topology: Topology, weights: dict, input_times: dict,
             output_fired = True
             readout = (readout_scale * interarrival_time(live_w, live_u, threshold)
                        + readout_offset)
-
-    fired_edges = tuple([edge_list[k] for k in arrival])
-    return TrialRecord(arrivals=dict(zip(fired_edges, arrival.values())),
-                       offsets=dict(offsets), firing={j: times[j] for j in topology.order},
-                       readout=readout, output_neuron=out, output_fired=output_fired,
-                       fired_edges=fired_edges)
+    return TrialRecord(topology, arrival, u, times, readout, out, output_fired)
 
 
-def _by_edge(values: dict, edges: tuple, what: str) -> list:
-    """``values[e]`` for every edge in order; a missing edge is a ValueError."""
-    try:
-        return [values[e] for e in edges]
-    except KeyError:
-        missing = next(e for e in edges if e not in values)
-        raise ValueError(f"missing {what} for edge {missing}") from None
+def _by_edge(values, topology: Topology, what: str) -> list:
+    """``values`` as a list in edge order: a dict is looked up by edge, where
+    a missing edge is a ValueError; a sequence must hold one value per edge."""
+    edges = topology.edges
+    if isinstance(values, dict):
+        try:
+            return [values[e] for e in edges]
+        except KeyError:
+            missing = next(e for e in edges if e not in values)
+            raise ValueError(f"missing {what} for edge {missing}") from None
+    values = list(values)
+    if len(values) != len(edges):
+        raise ValueError(f"expected one {what} per edge ({len(edges)}), not {len(values)}")
+    return values
 
 
-def plasticity_update(topology: Topology, weights: dict, record: TrialRecord,
+def plasticity_update(topology: Topology, weights, record: TrialRecord,
                       params: KernelParams, reward_delta: float | None = None,
-                      alpha: float = 1.0) -> dict:
+                      alpha: float = 1.0):
     """The weights after one trial's spike-timing plasticity.
 
-    An edge whose spike reached a neuron that fired at T+ moves as
+    ``weights`` is a dict keyed by edge, and the result a dict with the
+    same keys, or a sequence of floats in edge order, and the result a
+    list. An edge whose spike reached a neuron that fired at T+ moves as
     :func:`stdp_update` prescribes for the window [T+ - 2A, T+] and the
     spike at T+ - A + U, with U the edge's offset in ``record``: by the
     unsupervised change, plus the reward-modulated change when
@@ -377,18 +424,38 @@ def plasticity_update(topology: Topology, weights: dict, record: TrialRecord,
     :func:`stdp_update`, a spike outside its window or a moving edge's
     weight that is not positive raises ValueError.
     """
-    firing, arrivals = record.firing, record.arrivals
-    moved = [e for e in topology.edges if e in arrivals and firing.get(e[1]) is not None]
-    w = np.array([weights[e] for e in moved], dtype=np.float64)
-    t_plus = np.array([firing[j] for _, j in moved], dtype=np.float64)
-    u = np.array([record.offsets[e] for e in moved], dtype=np.float64)
+    w = _by_edge(weights, topology, "weight")
+    times, u = record.firing_times, record.edge_offsets
+    if None in times or len(topology._delivery) < len(w):
+        child = topology._child
+        moving = [k for k, x in enumerate(record.arrival_times)
+                  if x is not None and times[child[k]] is not None]
+        w_moving = np.array([w[k] for k in moving], dtype=np.float64)
+        t_plus = np.array([times[child[k]] for k in moving], dtype=np.float64)
+        u_moving = np.array([u[k] for k in moving], dtype=np.float64)
+    else:
+        # every neuron fired and no edge feeds an input, so every edge moves
+        moving = None
+        w_moving = np.array(w, dtype=np.float64)
+        t_plus = np.array(times, dtype=np.float64)[topology._child_index]
+        u_moving = np.array(u, dtype=np.float64)
     a = params.half_interval
     with np.errstate(all="ignore"):
         t_minus = t_plus - 2.0 * a
-        depress, potentiate = _kernels(w, t_minus + a + u, t_minus, t_plus, params.decay)
-        new = _stdp_step(w, -1.0, params.amplitude, depress, potentiate)
+        depress, potentiate = _kernels(w_moving, t_minus + a + u_moving, t_minus, t_plus,
+                                       params.decay)
+        moved = _stdp_step(w_moving, -1.0, params.amplitude, depress, potentiate)
         if reward_delta is not None:
-            new += _stdp_step(w, alpha * reward_delta, params.amplitude, depress, potentiate) - w
-    updated = dict(weights)
-    updated.update(zip(moved, new.tolist()))
-    return updated
+            moved += _stdp_step(w_moving, alpha * reward_delta, params.amplitude, depress,
+                                potentiate) - w_moving
+    if moving is None:
+        new = moved.tolist()
+    else:
+        new = list(w)
+        for k, x in zip(moving, moved.tolist()):
+            new[k] = x
+    if isinstance(weights, dict):
+        updated = dict(weights)
+        updated.update(zip(topology.edges, new))
+        return updated
+    return new

@@ -477,6 +477,9 @@ def check_mean_step(loss: LossFunction, theta, half_interval: float, alpha: floa
     within three combined standard errors, or within ``rel_tol`` relative
     where the reference value is nonzero.
     """
+    if n < 2:
+        # a standard error from fewer draws is undefined, and numpy warns about it
+        raise ValueError(f"check_mean_step needs n >= 2, not {n}")
     theta = np.asarray(theta, dtype=np.float64)
     a = float(half_interval)
     d = theta.shape[0]
@@ -526,6 +529,8 @@ def check_componentwise(loss: LossFunction, theta, half_interval: float,
     d = theta.shape[0]
     if d > 10:
         raise ValueError("check_componentwise is limited to d <= 10")
+    if n < 2:
+        raise ValueError(f"check_componentwise needs n >= 2, not {n}")
     pd = PerturbationDensity(a)
     prefactor = -alpha * math.exp(-a) * pd.normalizer / (2.0 * a)
     estimate = np.empty(d)

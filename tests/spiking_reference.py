@@ -2,15 +2,19 @@
 
 ``reference_trial`` walks the edge list once per neuron to find its
 parents and evaluates each plasticity kernel twice per edge, exactly as
-``run_trial`` and the ``spike-demo`` plasticity loop once did. The tests
-hold the index-array engine in ``spikezero.spiking`` to it bit for bit.
-It uses only the topology's edges, inputs, outputs and order, so the
-engine's precomputed tables are not part of what it checks.
+``run_trial`` and the ``spike-demo`` plasticity loop once did, and
+``reference_spike_demo`` is the ``spike-demo`` trial loop on dicts keyed by
+edge, writing its rows at the end. The tests hold the edge-indexed engine
+in ``spikezero.spiking`` and the streaming ``spike-demo`` to them bit for
+bit. They use only the topology's edges, inputs, outputs and order, so the
+engine's precomputed tables are not part of what they check.
 """
 
 import math
 
 import numpy as np
+
+from spikezero.core import RngStream
 
 
 def _parents(topology, j):
@@ -111,3 +115,46 @@ def reference_plasticity(topology, weights, arrivals, firing, offsets, params,
             new_w += modulated - w
         updated[(i, j)] = new_w
     return updated
+
+
+def reference_spike_demo(topology, weights, input_times, params, trials, seed,
+                         readout_scale=1.0, readout_offset=0.0, sentinel=1e6,
+                         reward_delta=None, alpha=1.0, plasticity=True, lam=None):
+    """(CSV text, exit code, stderr) of ``spike-demo`` on these inputs.
+
+    ``weights`` and ``lam`` are dicts keyed by edge, ``input_times`` a dict
+    keyed by input neuron; ``lam`` is the transform, which needs plasticity
+    off.
+    """
+    edges = topology.edges
+    a = params.half_interval
+    gen = RngStream(seed).substream(0).generator()
+    out = topology.outputs[0]
+    lines = ["trial,edge_or_neuron,kind,value"]
+    current = dict(weights)
+    for t in range(trials):
+        offsets = dict(zip(edges, gen.uniform(-a, a, size=len(edges)).tolist()))
+        if lam is not None:
+            use_weights = {e: lam[e] * current[e] for e in edges}
+            offsets = {e: offsets[e] - math.log(lam[e]) for e in edges}
+        else:
+            use_weights = current
+        arrivals, firing, readout, _, _ = reference_trial(
+            topology, use_weights, input_times, params, offsets,
+            readout_scale=readout_scale, readout_offset=readout_offset, sentinel=sentinel)
+        if plasticity:
+            current = reference_plasticity(topology, current, arrivals, firing, offsets, params,
+                                           reward_delta=reward_delta, alpha=alpha)
+        lines += [f"{t},{i}->{j},arrival,{arrivals[(i, j)]:.12g}"
+                  for i, j in edges if (i, j) in arrivals]
+        lines += [f"{t},{nid},firing,{firing[nid]:.12g}"
+                  for nid in sorted(firing) if firing[nid] is not None]
+        lines.append(f"{t},{out},readout,{readout:.12g}")
+        lines += [f"{t},{i}->{j},weight,{current[(i, j)]:.12g}" for i, j in edges]
+        if plasticity:
+            bad = next((e for e in edges if not 0 < current[e] < math.inf), None)
+            if bad is not None:
+                return ("\n".join(lines) + "\n", 1,
+                        f"spike-demo failed at trial {t}: plasticity left edge "
+                        f"{bad[0]}->{bad[1]} with weight {current[bad]!r}\n")
+    return "\n".join(lines) + "\n", 0, ""

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -8,18 +9,21 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import one_pass_reference as one_pass
+from spiking_reference import reference_spike_demo
 from spikezero import cli
 from spikezero.cli import _run_check, main
 from spikezero.core import RngStream
+from spikezero.spiking import KernelParams, Topology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,6 +172,17 @@ def run_warnings_as_errors(tmp_path, command, doc):
      "error: the variance at d=2 leaves the floating-point range"),
     ("verify", {"checks": ["normalizer", "variance-scaling"], "samples": {"variance-scaling": 1}},
      "error: check 'variance-scaling': the variance sweep needs n >= 2, not 1"),
+    # a mean and standard error from fewer than two samples
+    ("verify", {"checks": ["mean-step"], "samples": {"mean-step": 1}},
+     "error: check 'mean-step': check_mean_step needs n >= 2, not 1"),
+    ("verify", {"checks": ["mean-step"], "samples": {"mean-step": 0}},
+     "error: check 'mean-step': check_mean_step needs n >= 2, not 0"),
+    ("verify", {"checks": ["mean-step-quartic"], "samples": {"mean-step-quartic": 1}},
+     "error: check 'mean-step-quartic': check_mean_step needs n >= 2, not 1"),
+    ("verify", {"checks": ["componentwise"], "samples": {"componentwise": 0}},
+     "error: check 'componentwise': check_componentwise needs n >= 2, not 0"),
+    ("verify", {"checks": ["componentwise"], "samples": {"componentwise": 1}},
+     "error: check 'componentwise': check_componentwise needs n >= 2, not 1"),
 ])
 def test_sweep_row_failure_exits_two_without_warnings(tmp_path, command, doc, message):
     result = run_warnings_as_errors(tmp_path, command, doc)
@@ -518,8 +533,8 @@ def test_spike_demo_rerun_is_byte_identical(tmp_path, configs_dir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def layered_spike_config(tmp_path, sizes=(8, 16, 16, 1)) -> str:
-    """Fully connected layers, weights near 1.5 / fan-in, 20 plastic trials with a reward."""
+def layered_spike_config(tmp_path, sizes=(8, 16, 16, 1), trials=20) -> str:
+    """Fully connected layers, weights near 1.5 / fan-in, plastic trials with a reward."""
     starts = [sum(sizes[:k]) for k in range(len(sizes))]
     edges, fan_in = [], {}
     for k in range(len(sizes) - 1):
@@ -532,7 +547,7 @@ def layered_spike_config(tmp_path, sizes=(8, 16, 16, 1)) -> str:
         "outputs": [starts[-1]]})
     weights = [1.5 / fan_in[j] * (0.8 + 0.1 * (n % 5)) for n, (_, j) in enumerate(edges)]
     return write_config(tmp_path, "layered_demo.json", {
-        "topology": topo, "trials": 20, "seed": 4,
+        "topology": topo, "trials": trials, "seed": 4,
         "params": {"decay": 1.0, "amplitude": 0.05, "threshold": 1.0, "half_interval": 0.25},
         "weights": weights, "reward_delta": 0.05, "out": str(tmp_path / "layered.csv")})
 
@@ -583,6 +598,60 @@ def test_spike_demo_nonfinite_weight_exits_one_with_rows_so_far(tmp_path):
     assert {r["trial"] for r in rows} == {"0", "1"}
     assert [r["value"] for r in rows if r["trial"] == "1" and r["edge_or_neuron"] == "0->3"
             and r["kind"] == "weight"] == ["inf"]
+
+
+def test_spike_demo_unwritable_out_exits_two(tmp_path, capsys, configs_dir):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "spikes.csv"
+    assert main(["spike-demo", "--config", str(configs_dir / "spike_demo.json"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: File exists\n"
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"weights": [1.0, -1.0, 1.0]}, "weights"),
+    ({"plasticity": False, "transform": {"lam": [1.0, 0.0, 1.0]}}, "transform.lam"),
+    # each product is positive in exact arithmetic but rounds to 0
+    ({"plasticity": False, "weights": {"fill": 1e-200}, "transform": {"lam": {"fill": 1e-200}}},
+     "transform.lam"),
+], ids=["weights", "transform.lam", "transform.lam-underflow"])
+def test_spike_demo_config_error_creates_no_output(tmp_path, capsys, doc, field):
+    out = tmp_path / "spikes.csv"
+    cfg = write_config(tmp_path, "bad.json", {**FUZZ_BASES["spike-demo"], **doc,
+                                              "out": str(out)})
+    assert main(["spike-demo", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
+def spike_demo_peak_bytes(tmp_path, trials: int) -> int:
+    """tracemalloc's peak over one spike-demo run on the 8 -> 16 -> 16 -> 1 network."""
+    cfg = layered_spike_config(tmp_path, trials=trials)
+    # the cyclic collector frees argparse's parser at a varying point of the
+    # run, which moves the peak by tens of kB between identical runs; with
+    # it off that garbage stays for the whole run, and so would any cyclic
+    # garbage a trial left behind
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert main(["spike-demo", "--config", cfg]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_spike_demo_memory_does_not_grow_with_trials(tmp_path):
+    # rows go to the file as each trial ends, so ten times the trials need
+    # less extra memory than one trial's rows. Traced allocation runs about
+    # 25 times slower, hence 10 and 100 trials.
+    assert main(["spike-demo", "--config", layered_spike_config(tmp_path, trials=100)]) == 0
+    short = spike_demo_peak_bytes(tmp_path, 10)
+    long = spike_demo_peak_bytes(tmp_path, 100)
+    one_trial = len((tmp_path / "layered.csv").read_bytes()) // 100
+    assert long - short < one_trial
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +726,116 @@ def test_fuzzed_config_field_exits_cleanly(tmp_path, monkeypatch, command, data)
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# spike-demo against the dict-based loop
+
+
+@st.composite
+def layered_topologies(draw):
+    """Layers of 1-4 neurons numbered by layer; each edge between consecutive
+    layers is kept or dropped. The first layer is the input, the first
+    neuron of the last layer the output."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    pairs = [[i, j] for k in range(len(sizes) - 1)
+             for i in range(starts[k], starts[k] + sizes[k])
+             for j in range(starts[k + 1], starts[k + 1] + sizes[k + 1])]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept] or pairs[:1]
+    return {"neurons": sum(sizes), "edges": edges, "inputs": list(range(sizes[0])),
+            "outputs": [starts[-1]]}
+
+
+@st.composite
+def dag_topologies(draw):
+    """A random DAG over neurons numbered in a shuffled topological order;
+    an edge may feed an input neuron, and the output may be any neuron."""
+    n = draw(st.integers(2, 9))
+    rank = draw(st.permutations(range(n)))
+    pairs = [[rank[a], rank[b]] for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique_by=tuple))
+    inputs = draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True))
+    return {"neurons": n, "edges": edges, "inputs": inputs,
+            "outputs": [draw(st.sampled_from(range(n)))]}
+
+
+def float_lists(elements, size):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def spike_demo_cases(draw):
+    """A topology and a spike-demo config for it, every field spelled out."""
+    topology = draw(layered_topologies() | dag_topologies())
+    n_edges = len(topology["edges"])
+    plasticity = draw(st.booleans())
+    doc = {"trials": draw(st.integers(0, 6)), "seed": draw(st.integers(0, 2 ** 32 - 1)),
+           "params": {"decay": draw(st.floats(0.1, 3.0)),
+                      "amplitude": draw(st.floats(0.01, 1.0)),
+                      "threshold": draw(st.floats(0.2, 3.0)),
+                      "half_interval": draw(st.floats(0.05, 1.0))},
+           "weights": draw(float_lists(st.floats(0.05, 3.0), n_edges)),
+           "input_vector": draw(float_lists(unit, len(topology["inputs"]))),
+           "input_scale": draw(unit), "input_offset": draw(unit),
+           "readout": {"scale": draw(unit), "offset": draw(unit),
+                       "sentinel": draw(st.floats(-1e6, 1e6))},
+           "alpha": draw(st.floats(0.01, 2.0)), "plasticity": plasticity}
+    # a large reward drives weights through zero: the run exits 1
+    reward_delta = draw(st.none() | st.floats(-200.0, 200.0))
+    if reward_delta is not None:
+        doc["reward_delta"] = reward_delta
+    if not plasticity and draw(st.booleans()):
+        doc["transform"] = {"lam": draw(float_lists(st.floats(0.1, 10.0), n_edges))}
+    return topology, doc
+
+
+THREE_IN_ONE_OUT = json.loads(TOPOLOGY.read_text())
+SMALL_DEMO = {"trials": 3, "seed": 1,
+              "params": {"decay": 1.0, "amplitude": 0.5, "threshold": 1.0, "half_interval": 0.25},
+              "weights": [0.6, 0.6, 0.6], "input_vector": [0.0, 0.0, 0.0], "input_scale": 1.0,
+              "input_offset": 0.0, "readout": {"scale": 1.0, "offset": 0.0, "sentinel": 1e6},
+              "alpha": 0.1, "plasticity": True}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=spike_demo_cases())
+# a weight goes below zero in trial 0
+@example(case=(THREE_IN_ONE_OUT, {**SMALL_DEMO, "reward_delta": 100.0}))
+@example(case=(THREE_IN_ONE_OUT, {**SMALL_DEMO, "plasticity": False,
+                                  "transform": {"lam": [2.0, 3.0, 0.5]}}))
+def test_spike_demo_equals_dict_based_loop(tmp_path, case):
+    topology_doc, doc = case
+    out = tmp_path / "spikes.csv"
+    out.unlink(missing_ok=True)
+    cfg = write_config(tmp_path, "demo.json", {
+        **doc, "topology": write_config(tmp_path, "topology.json", topology_doc),
+        "out": str(out)})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["spike-demo", "--config", cfg])
+
+    topology = Topology(n_neurons=topology_doc["neurons"],
+                        edges=tuple(map(tuple, topology_doc["edges"])),
+                        inputs=tuple(topology_doc["inputs"]),
+                        outputs=tuple(topology_doc["outputs"]))
+    edges, readout = topology.edges, doc["readout"]
+    transform = doc.get("transform")
+    expected = reference_spike_demo(
+        topology, dict(zip(edges, doc["weights"])),
+        {nid: doc["input_offset"] + doc["input_scale"] * x
+         for nid, x in zip(topology.inputs, doc["input_vector"])},
+        KernelParams(**doc["params"]), doc["trials"], doc["seed"],
+        readout_scale=readout["scale"], readout_offset=readout["offset"],
+        sentinel=readout["sentinel"], reward_delta=doc.get("reward_delta"),
+        alpha=doc["alpha"], plasticity=doc["plasticity"],
+        lam=None if transform is None else dict(zip(edges, transform["lam"])))
+    assert (out.read_text(), code, err.getvalue()) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,13 @@ def test_run_trial_validates_inputs():
                   offsets={(0, 1): 0.0, (1, 2): 0.0})
     with pytest.raises(ValueError, match="generator"):
         run_trial(CHAIN, {(0, 1): 1.0, (1, 2): 1.0}, {0: 0.0}, PARAMS)
+    with pytest.raises(ValueError, match=r"one weight per edge \(2\), not 1"):
+        run_trial(CHAIN, [1.0], {0: 0.0}, PARAMS, offsets=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"one offset per edge \(2\), not 3"):
+        run_trial(CHAIN, [1.0, 1.0], {0: 0.0}, PARAMS, offsets=[0.0, 0.0, 0.0])
+    # a NaN first makes it min's result; the weight below zero is still found
+    with pytest.raises(ValueError, match=r"weight for edge \(1, 2\) must be positive"):
+        run_trial(CHAIN, [math.nan, -1.0], {0: 0.0}, PARAMS, offsets=[0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +357,11 @@ def test_engine_equals_scalar_reference(topo, data):
     assert record.output_fired == fired
     assert record.fired_edges == fired_edges
     assert record.offsets == offsets
+    # the same trial from lists in edge order
+    listed = run_trial(topo, [weights[e] for e in topo.edges], input_times, params,
+                       offsets=[offsets[e] for e in topo.edges], readout_scale=scale,
+                       readout_offset=shift)
+    assert listed == record
 
     reward_delta = data.draw(st.none() | st.floats(-5.0, 5.0), label="reward_delta")
     alpha = data.draw(st.floats(0.01, 2.0), label="alpha")
@@ -366,6 +378,9 @@ def test_engine_equals_scalar_reference(topo, data):
                                 alpha=alpha)
     assert list(updated) == list(expected)
     assert bit_patterns(updated) == bit_patterns(expected)
+    listed = plasticity_update(topo, [weights[e] for e in topo.edges], record, params,
+                               reward_delta=reward_delta, alpha=alpha)
+    assert [bit_pattern(x) for x in listed] == [bit_patterns(expected)[e] for e in topo.edges]
 
 
 @settings(max_examples=300, deadline=None)
