@@ -605,9 +605,7 @@ def cmd_spike_demo(args) -> int:
                       *compress(record.firing_times, spiked), record.readout, *weights)
             fh.write(str(t).join(pieces) % values)
             # the next trial needs positive, finite weights; the rows so far are kept
-            if plasticity and weights and not (min(weights) > 0
-                                               and math.isfinite(sum(weights))):
-                # min and sum catch every weight that fails, NaN included
+            if plasticity:
                 failed = next((k for k, w in enumerate(weights) if not 0 < w < math.inf),
                               None)
                 if failed is not None:

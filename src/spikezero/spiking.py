@@ -103,7 +103,6 @@ class Topology:
         fan_in = tuple(map(tuple, fan_in))
         object.__setattr__(self, "_fan_in", fan_in)
         object.__setattr__(self, "_child", tuple(j for _, j in edges))
-        object.__setattr__(self, "_child_index", np.array(self._child, dtype=np.intp))
         # the neurons a trial walks, in topological order with their fan-in;
         # an input neuron fires at its assigned time, whatever reaches it
         walk = tuple((j, fan_in[j]) for j in order if j not in inputs)
@@ -343,12 +342,9 @@ def run_trial(topology: Topology, weights, input_times: dict,
     ``sentinel`` readout so a loss is always defined.
     """
     w = _by_edge(weights, topology, "weight")
-    # min finds a weight at or below zero whenever one exists: a NaN is
-    # either min's result or ignored by it
-    if w and not min(w) > 0:
-        bad = next((e for e, x in zip(topology.edges, w) if x <= 0), None)
-        if bad is not None:
-            raise ValueError(f"weight for edge {bad} must be positive")
+    bad = next((e for e, x in zip(topology.edges, w) if x <= 0), None)
+    if bad is not None:
+        raise ValueError(f"weight for edge {bad} must be positive")
     for i in topology.inputs:
         if i not in input_times:
             raise ValueError(f"missing input spike time for neuron {i}")
@@ -426,19 +422,12 @@ def plasticity_update(topology: Topology, weights, record: TrialRecord,
     """
     w = _by_edge(weights, topology, "weight")
     times, u = record.firing_times, record.edge_offsets
-    if None in times or len(topology._delivery) < len(w):
-        child = topology._child
-        moving = [k for k, x in enumerate(record.arrival_times)
-                  if x is not None and times[child[k]] is not None]
-        w_moving = np.array([w[k] for k in moving], dtype=np.float64)
-        t_plus = np.array([times[child[k]] for k in moving], dtype=np.float64)
-        u_moving = np.array([u[k] for k in moving], dtype=np.float64)
-    else:
-        # every neuron fired and no edge feeds an input, so every edge moves
-        moving = None
-        w_moving = np.array(w, dtype=np.float64)
-        t_plus = np.array(times, dtype=np.float64)[topology._child_index]
-        u_moving = np.array(u, dtype=np.float64)
+    child = topology._child
+    moving = [k for k, x in enumerate(record.arrival_times)
+              if x is not None and times[child[k]] is not None]
+    w_moving = np.array([w[k] for k in moving], dtype=np.float64)
+    t_plus = np.array([times[child[k]] for k in moving], dtype=np.float64)
+    u_moving = np.array([u[k] for k in moving], dtype=np.float64)
     a = params.half_interval
     with np.errstate(all="ignore"):
         t_minus = t_plus - 2.0 * a
@@ -448,12 +437,9 @@ def plasticity_update(topology: Topology, weights, record: TrialRecord,
         if reward_delta is not None:
             moved += _stdp_step(w_moving, alpha * reward_delta, params.amplitude, depress,
                                 potentiate) - w_moving
-    if moving is None:
-        new = moved.tolist()
-    else:
-        new = list(w)
-        for k, x in zip(moving, moved.tolist()):
-            new[k] = x
+    new = list(w)
+    for k, x in zip(moving, moved.tolist()):
+        new[k] = x
     if isinstance(weights, dict):
         updated = dict(weights)
         updated.update(zip(topology.edges, new))
