@@ -1,10 +1,10 @@
 """Loss functions, synthetic data streams, and a finite-difference oracle.
 
-Every loss exposes scalar ``evaluate`` / ``gradient`` plus vectorized
-``evaluate_many`` / ``gradient_many`` over a batch of parameter points;
-the batch forms are what the Monte Carlo verification routines and the
-replicate-batched optimizer call, and they agree with the scalar forms bit
-for bit, row by row. The optimizer is responsible for perturbing
+Every loss defines ``evaluate_many`` / ``gradient_many`` over a batch of
+parameter points of shape (n, d); these are what the Monte Carlo
+verification routines and the replicate-batched optimizer call. The
+single-point ``evaluate`` / ``gradient`` come from the base class as row 0
+of a one-row batch. The optimizer is responsible for perturbing
 parameters, so losses always see the final evaluation point.
 """
 
@@ -40,21 +40,23 @@ class SupervisedSample:
 
 
 class LossFunction:
-    """Interface: scalar loss of a parameter vector, optionally with gradient."""
-
-    def evaluate(self, params: np.ndarray, sample: SupervisedSample | None = None) -> float:
-        raise NotImplementedError
-
-    def gradient(self, params: np.ndarray, sample: SupervisedSample | None = None) -> np.ndarray:
-        raise NotImplementedError
+    """Interface: loss per row of a batch of parameter vectors, optionally with gradient."""
 
     def evaluate_many(self, points: np.ndarray, sample: SupervisedSample | None = None) -> np.ndarray:
-        """Loss per row of ``points`` (shape (n, d)). Default loops."""
-        return np.array([self.evaluate(p, sample) for p in points])
+        """Loss per row of ``points`` (shape (n, d))."""
+        raise NotImplementedError
 
     def gradient_many(self, points: np.ndarray, sample: SupervisedSample | None = None) -> np.ndarray:
-        """Gradient per row of ``points``. Default loops."""
-        return np.stack([self.gradient(p, sample) for p in points])
+        """Gradient per row of ``points``."""
+        raise NotImplementedError
+
+    def evaluate(self, params: np.ndarray, sample: SupervisedSample | None = None) -> float:
+        """Loss at one point (d,)."""
+        return float(self.evaluate_many(np.asarray(params, dtype=np.float64)[None, :], sample)[0])
+
+    def gradient(self, params: np.ndarray, sample: SupervisedSample | None = None) -> np.ndarray:
+        """Gradient at one point (d,)."""
+        return self.gradient_many(np.asarray(params, dtype=np.float64)[None, :], sample)[0]
 
 
 class LeastSquaresLoss(LossFunction):
@@ -69,17 +71,6 @@ class LeastSquaresLoss(LossFunction):
                 f"dimension mismatch: params has {params.shape[-1]}, "
                 f"target has {self.target.shape[0]}"
             )
-
-    def evaluate(self, params, sample=None) -> float:
-        params = np.asarray(params, dtype=np.float64)
-        self._check(params)
-        r = self.target - params
-        return float(r @ r)
-
-    def gradient(self, params, sample=None) -> np.ndarray:
-        params = np.asarray(params, dtype=np.float64)
-        self._check(params)
-        return -2.0 * (self.target - params)
 
     def evaluate_many(self, points, sample=None) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -108,14 +99,6 @@ class LinearModelLoss(LossFunction):
             )
         return sample.y - row_dot(params, x), x
 
-    def evaluate(self, params, sample=None) -> float:
-        r, _ = self._residual(np.asarray(params, dtype=np.float64), sample)
-        return float(r * r)
-
-    def gradient(self, params, sample=None) -> np.ndarray:
-        r, x = self._residual(np.asarray(params, dtype=np.float64), sample)
-        return -2.0 * r * x
-
     def evaluate_many(self, points, sample=None) -> np.ndarray:
         r, _ = self._residual(np.asarray(points, dtype=np.float64), sample)
         return r * r
@@ -134,14 +117,6 @@ class PowerLoss(LossFunction):
         self.power = int(power)
         self.target = as_vector(target, "target") if target is not None else np.zeros(dim)
 
-    def evaluate(self, params, sample=None) -> float:
-        d = np.asarray(params, dtype=np.float64) - self.target
-        return float(np.sum(d ** self.power))
-
-    def gradient(self, params, sample=None) -> np.ndarray:
-        d = np.asarray(params, dtype=np.float64) - self.target
-        return self.power * d ** (self.power - 1)
-
     def evaluate_many(self, points, sample=None) -> np.ndarray:
         d = np.asarray(points, dtype=np.float64) - self.target
         return np.sum(d ** self.power, axis=1)
@@ -156,12 +131,6 @@ class ConstantLoss(LossFunction):
 
     def __init__(self, value: float):
         self.value = float(value)
-
-    def evaluate(self, params, sample=None) -> float:
-        return self.value
-
-    def gradient(self, params, sample=None) -> np.ndarray:
-        return np.zeros_like(np.asarray(params, dtype=np.float64))
 
     def evaluate_many(self, points, sample=None) -> np.ndarray:
         return np.full(np.asarray(points).shape[0], self.value)
@@ -180,13 +149,6 @@ class LogReparamLoss(LossFunction):
 
     def __init__(self, inner: LossFunction):
         self.inner = inner
-
-    def evaluate(self, params, sample=None) -> float:
-        return self.inner.evaluate(np.exp(np.asarray(params, dtype=np.float64)), sample)
-
-    def gradient(self, params, sample=None) -> np.ndarray:
-        w = np.exp(np.asarray(params, dtype=np.float64))
-        return self.inner.gradient(w, sample) * w
 
     def evaluate_many(self, points, sample=None) -> np.ndarray:
         return self.inner.evaluate_many(np.exp(np.asarray(points, dtype=np.float64)), sample)
@@ -236,16 +198,18 @@ def generate_stream(stream: DataStream, n: int, gen: np.random.Generator) -> lis
 
 def finite_diff_gradient(loss: LossFunction, theta, step: float = 1e-5,
                          sample: SupervisedSample | None = None) -> np.ndarray:
-    """Central-difference gradient, the oracle for analytic gradients."""
+    """Central-difference gradient, the oracle for analytic gradients.
+
+    All 2d bumped points go through one ``evaluate_many`` call: row j moves
+    coordinate j up by ``step`` and row d + j moves it down.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     theta = as_vector(theta, "theta")
-    grad = np.empty_like(theta)
-    for j in range(theta.shape[0]):
-        bumped = theta.copy()
-        bumped[j] = theta[j] + step
-        up = loss.evaluate(bumped, sample)
-        bumped[j] = theta[j] - step
-        down = loss.evaluate(bumped, sample)
-        grad[j] = (up - down) / (2.0 * step)
-    return grad
+    d = theta.shape[0]
+    j = np.arange(d)
+    bumped = np.tile(theta, (2 * d, 1))
+    bumped[j, j] = theta + step
+    bumped[d + j, j] = theta - step
+    values = loss.evaluate_many(bumped, sample)
+    return (values[:d] - values[d:]) / (2.0 * step)

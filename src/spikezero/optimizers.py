@@ -21,12 +21,12 @@ One OptimizerState serves both parametrizations: its ``theta`` holds
 log-weights for the additive steps and the weights themselves for the
 multiplicative one. Its loss history keeps ``strategy.memory`` entries.
 
-Every step function advances one iterate of shape (d,) or a batch of R
-independent replicate iterates of shape (R, d) in one call, and takes its
-noise rows as an argument instead of drawing them. run_methods draws
-each replicate's rows from its own substream and runs all replicates of a
-method as one batch. Row i of a batch moves bit for bit as the single
-iterate with row i's noise would. A replicate's data stream is generated
+Every step function advances a batch of R independent replicate iterates
+of shape (R, d) in one call, R = 1 for a lone iterate, and takes its noise
+rows as an argument instead of drawing them. run_methods draws each
+replicate's rows from its own substream and runs all replicates of a
+method as one batch. Row i of a batch moves bit for bit as the one-row
+batch with row i's noise would. A replicate's data stream is generated
 once and serves every method.
 """
 
@@ -68,10 +68,10 @@ __all__ = [
 class PositivityError(RuntimeError):
     """A multiplicative update would drive a weight to zero or below.
 
-    ``row`` is the first failing row of a batched state, None for one iterate.
+    ``row`` is the first failing row of the batched state.
     """
 
-    row: int | None = None
+    row: int = 0
 
 
 class OptimizerStepError(RuntimeError):
@@ -149,21 +149,18 @@ def _discount_weights(kind: str, decay: float, m: int) -> np.ndarray:
 
 
 def anticipated_loss(history, strategy: AnticipatedLossStrategy):
-    """Baseline value for the given realized-loss history (oldest first).
+    """Baseline per replicate for the given realized-loss history (oldest first).
 
-    A history of per-replicate arrays (R,) gives one baseline per replicate.
+    Each history entry holds one realized loss per replicate, shape (R,).
     """
     if strategy.kind == "zero":
         return 0.0
     if len(history) == 0:
         raise ValueError(f"strategy {strategy.kind!r} requires a nonempty loss history")
     if strategy.kind == "previous":
-        last = history[-1]
-        return float(last) if np.ndim(last) == 0 else last
+        return history[-1]
     weights = strategy.discount_weights(len(history))
     recent_first = [history[-(l + 1)] for l in range(weights.shape[0])]
-    if np.ndim(recent_first[0]) == 0:
-        return float(weights @ np.asarray(recent_first))
     # one contiguous row of past losses per replicate
     return row_dot(np.array(recent_first).T.copy(), weights)
 
@@ -172,11 +169,10 @@ def anticipated_loss(history, strategy: AnticipatedLossStrategy):
 class OptimizerState:
     """Mutable iterate state; step functions update it in place and return it.
 
-    ``theta`` is one iterate of shape (d,) or a batch of R replicate
-    iterates of shape (R, d): log-weights for the additive steps, and the
-    strictly positive weights w = e^theta themselves for
-    stdp_multiplicative_step. For a batch, each loss_history entry holds one
-    realized loss per row.
+    ``theta`` is a batch of R replicate iterates of shape (R, d):
+    log-weights for the additive steps, and the strictly positive weights
+    w = e^theta themselves for stdp_multiplicative_step. Each loss_history
+    entry holds one realized loss per row.
     """
 
     theta: np.ndarray
@@ -185,36 +181,21 @@ class OptimizerState:
 
 
 def init_state(theta0, memory: int = 32) -> OptimizerState:
-    """A start state, one iterate (d,) or a batch (R, d), that keeps ``memory`` past losses."""
+    """A start state for a batch (R, d) that keeps ``memory`` past losses."""
     theta = np.array(theta0, dtype=np.float64)
-    if theta.ndim not in (1, 2):
-        raise ValueError(f"theta0 must have shape (d,) or (R, d), got {theta.shape}")
+    if theta.ndim != 2:
+        raise ValueError(f"theta0 must have shape (R, d), got {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta0 contains non-finite entries")
     return OptimizerState(theta, loss_history=deque(maxlen=memory))
 
 
-def _evaluate(loss: LossFunction, points: np.ndarray, sample):
-    """The loss at one point (d,), or per row of a batch (R, d)."""
-    if points.ndim == 1:
-        return loss.evaluate(points, sample)
-    return loss.evaluate_many(points, sample)
-
-
 def _gradient(loss: LossFunction, theta: np.ndarray, sample) -> np.ndarray:
-    """Gradient at one point or per row, by central differences if the loss has none."""
+    """Gradient per row, by central differences if the loss has none."""
     try:
-        if theta.ndim == 1:
-            return loss.gradient(theta, sample)
         return loss.gradient_many(theta, sample)
     except NotImplementedError:
-        rows = [finite_diff_gradient(loss, row, sample=sample) for row in np.atleast_2d(theta)]
-        return np.stack(rows).reshape(theta.shape)
-
-
-def _per_row(values, points: np.ndarray):
-    """Line up one value per replicate against a batch's rows; scalars pass."""
-    return values[:, None] if points.ndim == 2 else values
+        return np.stack([finite_diff_gradient(loss, row, sample=sample) for row in theta])
 
 
 def gd_step(state: OptimizerState, loss: LossFunction,
@@ -242,8 +223,8 @@ def one_point_step(state: OptimizerState, loss: LossFunction,
     """
     k = state.iteration + 1
     xi = np.asarray(noise, dtype=np.float64)
-    perturbed = _evaluate(loss, state.theta + xi, sample)
-    state.theta = state.theta - _per_row(schedule.rate(k) * gauss.beta * perturbed, xi) * xi
+    perturbed = loss.evaluate_many(state.theta + xi, sample)
+    state.theta = state.theta - (schedule.rate(k) * gauss.beta * perturbed)[:, None] * xi
     state.iteration = k
     return state
 
@@ -252,9 +233,9 @@ def _stdp_move(state: OptimizerState, loss: LossFunction, schedule: LearningRate
                strategy: AnticipatedLossStrategy, u: np.ndarray, point: np.ndarray, sample):
     """The realized loss at ``point`` and the move alpha * (L - Lbar) * (e^{-U} - e^{U})."""
     baseline = anticipated_loss(state.loss_history, strategy)
-    realized = _evaluate(loss, point, sample)
+    realized = loss.evaluate_many(point, sample)
     rate = schedule.rate(state.iteration + 1)
-    return realized, _per_row(rate * (realized - baseline), u) * (np.exp(-u) - np.exp(u))
+    return realized, (rate * (realized - baseline))[:, None] * (np.exp(-u) - np.exp(u))
 
 
 def stdp_zo_step(state: OptimizerState, loss: LossFunction,
@@ -294,8 +275,8 @@ def stdp_multiplicative_step(state: OptimizerState, loss: LossFunction,
     PositivityError so misconfigured step sizes are not silently masked,
     and with ``clamp=True`` the multiplier is floored at a tiny positive
     value instead (weights may still underflow to 0.0 over many steps).
-    For a batch the error names the first failing row, and the state is
-    left as it was. The start weights must be strictly positive; that is
+    The error names the first failing row, and the state is left as it
+    was. The start weights must be strictly positive; that is
     checked at iteration 0.
     """
     if state.iteration == 0 and np.any(state.theta <= 0):
@@ -316,12 +297,9 @@ def stdp_multiplicative_step(state: OptimizerState, loss: LossFunction,
 
 
 def _positivity_error(multiplier: np.ndarray, bad: np.ndarray) -> PositivityError:
-    row = None
-    if multiplier.ndim == 2:
-        row = int(np.argmax(bad.any(axis=1)))
-        multiplier, bad = multiplier[row], bad[row]
-    idx = int(np.argmax(bad))
-    error = PositivityError(f"update multiplier {multiplier[idx]:g} at index {idx} "
+    row = int(np.argmax(bad.any(axis=1)))
+    idx = int(np.argmax(bad[row]))
+    error = PositivityError(f"update multiplier {multiplier[row, idx]:g} at index {idx} "
                             "would violate weight positivity")
     error.row = row
     return error

@@ -347,18 +347,25 @@ def check_density_sampler(rng: RngStream, half_intervals=DEFAULT_HALF_INTERVALS,
     """Chi-square goodness of fit of the rejection sampler.
 
     Bin probabilities come from Gauss–Legendre quadrature of the density
-    over equal-width bins, independent of the sampler.
+    over equal-width bins, independent of the sampler. The chi-square
+    approximation needs every bin to expect at least 5 draws, so an ``n``
+    below ceil(5 / smallest bin mass) raises ValueError naming that minimum.
     """
+    densities = [PerturbationDensity(a) for a in half_intervals]
+    edges = [np.linspace(-a, a, bins + 1) for a in half_intervals]
+    masses = [np.array([_integrate(pd.density, bounds[b], bounds[b + 1]) for b in range(bins)])
+              for pd, bounds in zip(densities, edges)]
+    minimum = math.ceil(5 / min(m.min() for m in masses))
+    if n < minimum:
+        raise ValueError(f"check_density_sampler needs n >= {minimum} so every bin "
+                         f"expects at least 5 draws, not {n}")
     threshold = _chi2_quantile(1.0 - significance, bins - 1)
     statistics = []
-    for idx, a in enumerate(half_intervals):
-        pd = PerturbationDensity(a)
+    for idx, (pd, bounds, mass) in enumerate(zip(densities, edges, masses)):
         gen = rng.substream(idx).generator()
         draws = pd.sample(gen, size=n)
-        edges = np.linspace(-a, a, bins + 1)
-        observed, _ = np.histogram(draws, bins=edges)
-        expected = n * np.array([_integrate(pd.density, edges[b], edges[b + 1])
-                                 for b in range(bins)])
+        observed, _ = np.histogram(draws, bins=bounds)
+        expected = n * mass
         statistics.append(float(np.sum((observed - expected) ** 2 / expected)))
     return CheckReport(
         name="density-sampler", n=n, seed=rng.seed,

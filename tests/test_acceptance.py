@@ -250,15 +250,15 @@ def test_11_multiplicative_additive_consistency():
             delta = inner.evaluate(w * np.exp(u))
             alpha = float(rng.uniform(0.05, 1.0)) * 0.1 / (abs(delta) * spread)
 
-            mult = init_state(w.copy())
+            mult = init_state([w])
             stdp_multiplicative_step(mult, inner, LearningRateSchedule.constant(alpha),
-                                     AnticipatedLossStrategy("zero"), noise=u)
-            add = init_state(theta.copy())
+                                     AnticipatedLossStrategy("zero"), noise=u[None, :])
+            add = init_state([theta])
             stdp_zo_step(add, LogReparamLoss(inner), LearningRateSchedule.constant(alpha),
-                         AnticipatedLossStrategy("zero"), noise=u)
+                         AnticipatedLossStrategy("zero"), noise=u[None, :])
 
             x = alpha * delta * (np.exp(-u) - np.exp(u))
-            assert np.all(np.abs(np.log(mult.theta) - add.theta) <= x ** 2 + 1e-15)
+            assert np.all(np.abs(np.log(mult.theta[0]) - add.theta[0]) <= x ** 2 + 1e-15)
         # positivity holds whenever the step-magnitude precondition holds
         assert np.all(mult.theta > 0)
 

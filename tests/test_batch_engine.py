@@ -1,11 +1,10 @@
 """The replicate-batched engine against replicates stepped one at a time.
 
-``serial_replicate`` is the reference: one replicate, one (d,) iterate,
-each step's noise row drawn from the replicate's own generator just before
-the step. The engine
-advances all replicates of a method as one (R, d) batch and must give the
-same traces bit for bit, including divergence padding and the outcome of a
-failing step.
+``serial_replicate`` is the reference: one replicate stepped alone as a
+(1, d) batch, each step's noise row drawn from the replicate's own
+generator just before the step. The engine advances all replicates of a
+method as one (R, d) batch and must give the same traces bit for bit,
+including divergence padding and the outcome of a failing step.
 
 ``methods_one_by_one`` is the reference for several methods: each runs to
 the end before the next starts. run_methods shares each replicate's data
@@ -79,17 +78,17 @@ def serial_replicate(loss, config, base, replicate, stream=None):
 
     def draw():
         if config.method == "one-point":
-            return gen.normal(0.0, math.sqrt(config.gaussian.sigma2), size=config.dim)
-        return gen.uniform(-a, a, size=config.dim)
+            return gen.normal(0.0, math.sqrt(config.gaussian.sigma2), size=(1, config.dim))
+        return gen.uniform(-a, a, size=(1, config.dim))
 
     rows = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         start = np.exp(theta0) if multiplicative else theta0
-        state = init_state(start, config.strategy.memory)
+        state = init_state([start], config.strategy.memory)
         if seeded:
             u = draw()
-            state.loss_history.append(
-                loss.evaluate(start * np.exp(u) if multiplicative else start + u, samples[0]))
+            state.loss_history.append(loss.evaluate_many(
+                state.theta * np.exp(u) if multiplicative else state.theta + u, samples[0]))
         initial = (finite_or_inf(loss.evaluate(start, samples[0])),
                    finite_or_inf(np.linalg.norm(theta0)))
         for k in range(1, n + 1):
@@ -106,7 +105,7 @@ def serial_replicate(loss, config, base, replicate, stream=None):
                                              draw(), sample, clamp=config.clamp)
             except PositivityError as exc:
                 return initial, rows, None, f"iteration {k}: {exc}"
-            point = state.theta
+            point = state.theta[0]
             if not np.all(np.isfinite(point)):
                 rows += [(math.inf, math.inf)] * (n - k + 1)
                 return initial, rows, k, None
@@ -239,9 +238,9 @@ def test_step_on_batch_equals_steps_on_rows():
     batch.loss_history.extend(history)
     stdp_zo_step(batch, loss, schedule, strategy, noise=u)
     for i in range(6):
-        one = init_state(theta[i])
-        one.loss_history.extend(float(h[i]) for h in history)
-        stdp_zo_step(one, loss, schedule, strategy, noise=u[i])
+        one = init_state(theta[i:i + 1])
+        one.loss_history.extend(h[i:i + 1] for h in history)
+        stdp_zo_step(one, loss, schedule, strategy, noise=u[i:i + 1])
         assert bits(one.theta) == bits(batch.theta[i])
         assert bits(one.loss_history[-1]) == bits(batch.loss_history[-1][i])
 

@@ -183,11 +183,28 @@ def run_warnings_as_errors(tmp_path, command, doc):
      "error: check 'componentwise': check_componentwise needs n >= 2, not 0"),
     ("verify", {"checks": ["componentwise"], "samples": {"componentwise": 1}},
      "error: check 'componentwise': check_componentwise needs n >= 2, not 1"),
+    # fewer draws than leave 5 expected in the default check's lightest bin
+    ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 0}},
+     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
+     "so every bin expects at least 5 draws, not 0"),
+    ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 1}},
+     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
+     "so every bin expects at least 5 draws, not 1"),
+    ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 689}},
+     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
+     "so every bin expects at least 5 draws, not 689"),
 ])
 def test_sweep_row_failure_exits_two_without_warnings(tmp_path, command, doc, message):
     result = run_warnings_as_errors(tmp_path, command, doc)
     assert result.returncode == 2
     assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+
+
+def test_density_sampler_at_its_minimum_n_is_no_config_error(tmp_path):
+    result = run_warnings_as_errors(tmp_path, "verify", {"checks": ["density-sampler"],
+                                                         "samples": {"density-sampler": 690}})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "PASS density-sampler\n"
 
 
 # ---------------------------------------------------------------------------

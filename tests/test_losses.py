@@ -156,7 +156,7 @@ class TestDataStream:
 
 
 # ---------------------------------------------------------------------------
-# batch forms reduce each row exactly as the scalar forms do
+# batch forms reduce each row exactly as a one-row batch does
 
 
 @st.composite
@@ -195,3 +195,26 @@ def test_power_batch_is_bit_identical(case, power):
     points, target = case
     loss = PowerLoss(power, target=target)
     assert loss.evaluate_many(points).tobytes() == stacked(loss, points).tobytes()
+
+
+def central_differences_one_point_at_a_time(loss, theta, step, sample=None):
+    grad = np.empty_like(theta)
+    for j in range(theta.shape[0]):
+        bumped = theta.copy()
+        bumped[j] = theta[j] + step
+        up = loss.evaluate(bumped, sample)
+        bumped[j] = theta[j] - step
+        down = loss.evaluate(bumped, sample)
+        grad[j] = (up - down) / (2.0 * step)
+    return grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_and_vector(), st.sampled_from([2, 4]), st.floats(1e-6, 1e-2))
+def test_finite_diff_batch_is_bit_identical(case, power, step):
+    points, target = case
+    for loss, sample in ((PowerLoss(power, target=target), None),
+                         (LinearModelLoss(), SupervisedSample(x=target, y=1.5))):
+        got = finite_diff_gradient(loss, points[0], step, sample)
+        expected = central_differences_one_point_at_a_time(loss, points[0], step, sample)
+        assert got.tobytes() == expected.tobytes()

@@ -34,9 +34,10 @@ CONST = LearningRateSchedule.constant
 
 
 def make_state(theta, memory=32, history=()):
-    state = init_state(theta, memory)
+    """A one-row (1, d) batch state at ``theta`` with the given past losses."""
+    state = init_state([theta], memory)
     for value in history:
-        state.loss_history.append(value)
+        state.loss_history.append(np.array([value]))
     return state
 
 
@@ -44,10 +45,15 @@ def make_state(theta, memory=32, history=()):
 # anticipated loss
 
 
+def baseline(values, strategy):
+    """The baseline of one replicate's history, each entry a (1,) array."""
+    return anticipated_loss([np.array([v]) for v in values], strategy)[0]
+
+
 class TestAnticipatedLoss:
     def test_previous(self):
         strat = AnticipatedLossStrategy("previous")
-        assert anticipated_loss([0.2, 0.5, 0.7], strat) == 0.7
+        assert baseline([0.2, 0.5, 0.7], strat) == 0.7
 
     def test_zero(self):
         assert anticipated_loss([], AnticipatedLossStrategy("zero")) == 0.0
@@ -57,23 +63,23 @@ class TestAnticipatedLoss:
     ])
     def test_constant_history_returns_constant(self, kind, decay):
         strat = AnticipatedLossStrategy(kind, decay=decay)
-        assert anticipated_loss([3.25] * 7, strat) == pytest.approx(3.25, rel=1e-14)
+        assert baseline([3.25] * 7, strat) == pytest.approx(3.25, rel=1e-14)
 
     def test_exponential_hand_value(self):
         # lags 1 and 2 weighted e^-1 and e^-2, renormalized: (e + 2) / (e + 1)
         strat = AnticipatedLossStrategy("exponential", decay=1.0, memory=2)
-        got = anticipated_loss([2.0, 1.0], strat)
+        got = baseline([2.0, 1.0], strat)
         assert got == pytest.approx(1.268941421369995, rel=1e-12)
 
     def test_memory_truncates_old_entries(self):
         strat = AnticipatedLossStrategy("exponential", decay=1.0, memory=2)
         # entries older than the memory window must not contribute
-        assert anticipated_loss([99.0, -5.0, 2.0, 1.0], strat) == pytest.approx(
+        assert baseline([99.0, -5.0, 2.0, 1.0], strat) == pytest.approx(
             1.268941421369995, rel=1e-12)
 
     def test_polynomial_weights(self):
         strat = AnticipatedLossStrategy("polynomial", decay=1.0, memory=3)
-        got = anticipated_loss([3.0, 2.0, 1.0], strat)
+        got = baseline([3.0, 2.0, 1.0], strat)
         # weights 1, 1/2, 1/3 over lags 1..3, renormalized
         expected = (1.0 * 1 + 2.0 / 2 + 3.0 / 3) / (1 + 0.5 + 1 / 3)
         assert got == pytest.approx(expected, rel=1e-14)
@@ -101,8 +107,19 @@ class TestAnticipatedLoss:
 # steps
 
 
+@pytest.mark.parametrize("theta0,message", [
+    # a lone iterate is a (1, d) batch; a bare (d,) vector must not broadcast
+    (np.zeros(3), r"shape \(R, d\), got \(3,\)"),
+    (np.zeros((1, 1, 3)), r"shape \(R, d\), got \(1, 1, 3\)"),
+    ([[0.0, np.nan]], "non-finite"),
+])
+def test_init_state_rejects_invalid_starts(theta0, message):
+    with pytest.raises(ValueError, match=message):
+        init_state(theta0)
+
+
 def test_multiplicative_step_rejects_nonpositive_start_weights():
-    for weights in ([1.0, 0.0], [[1.0], [-2.0]]):
+    for weights in ([[1.0, 0.0]], [[1.0], [-2.0]]):
         state = init_state(weights)
         with pytest.raises(ValueError, match="strictly positive"):
             stdp_multiplicative_step(state, LeastSquaresLoss([1.0]), CONST(0.1),
@@ -115,13 +132,13 @@ class TestGdStep:
     def test_hand_value(self):
         state = make_state([0.0])
         gd_step(state, LeastSquaresLoss([1.0]), CONST(0.25))
-        assert state.theta[0] == 0.5
+        assert state.theta[0, 0] == 0.5
         assert state.iteration == 1
 
     def test_stationary_at_minimum(self):
         state = make_state([1.0, 2.0])
         gd_step(state, LeastSquaresLoss([1.0, 2.0]), CONST(0.25))
-        np.testing.assert_array_equal(state.theta, [1.0, 2.0])
+        np.testing.assert_array_equal(state.theta, [[1.0, 2.0]])
 
     def test_contraction_factor(self):
         loss = LeastSquaresLoss([1.0])
@@ -129,25 +146,25 @@ class TestGdStep:
         errors = [1.0]
         for _ in range(10):
             gd_step(state, loss, CONST(0.25))
-            errors.append(abs(1.0 - state.theta[0]))
+            errors.append(abs(1.0 - state.theta[0, 0]))
         for before, after in zip(errors, errors[1:]):
             assert after == pytest.approx(0.5 * before, rel=1e-12)
 
     def test_finite_difference_fallback(self):
         class NoGrad(LeastSquaresLoss):
-            def gradient(self, params, sample=None):
+            def gradient_many(self, points, sample=None):
                 raise NotImplementedError
 
         state = make_state([0.0])
         gd_step(state, NoGrad([1.0]), CONST(0.25))
-        assert state.theta[0] == pytest.approx(0.5, abs=1e-9)
+        assert state.theta[0, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_finite_difference_fallback_on_a_batch(self):
         class ValueOnly(LossFunction):
-            def evaluate(self, params, sample=None):
-                return float((1.0 - params[0]) ** 2)
+            def evaluate_many(self, points, sample=None):
+                return (1.0 - points[:, 0]) ** 2
 
-        state = make_state(np.zeros((3, 1)))
+        state = init_state(np.zeros((3, 1)))
         gd_step(state, ValueOnly(), CONST(0.25))
         np.testing.assert_allclose(state.theta, np.full((3, 1), 0.5), atol=1e-9)
 
@@ -156,14 +173,14 @@ class TestOnePointStep:
     def test_zero_noise_is_identity(self):
         state = make_state([3.0, -1.0])
         one_point_step(state, LeastSquaresLoss([0.0, 0.0]), CONST(0.5),
-                       GaussianNoiseConfig(1.0), noise=np.zeros(2))
-        np.testing.assert_array_equal(state.theta, [3.0, -1.0])
+                       GaussianNoiseConfig(1.0), noise=np.zeros((1, 2)))
+        np.testing.assert_array_equal(state.theta, [[3.0, -1.0]])
 
     def test_hand_value(self):
         state = make_state([1.0])
         one_point_step(state, LeastSquaresLoss([0.0]), CONST(0.1),
-                       GaussianNoiseConfig(1.0, beta=1.0), noise=np.array([0.5]))
-        assert state.theta[0] == pytest.approx(0.8875, rel=1e-14)
+                       GaussianNoiseConfig(1.0, beta=1.0), noise=np.array([[0.5]]))
+        assert state.theta[0, 0] == pytest.approx(0.8875, rel=1e-14)
 
     def test_mean_estimate_matches_stein(self):
         # E[beta L(theta + xi) xi] = -2 (y - theta) for the quadratic loss
@@ -186,21 +203,21 @@ class TestStdpZoStep:
     def test_zero_noise_is_identity(self):
         state = make_state([0.7, -0.3], history=[123.0])
         stdp_zo_step(state, LeastSquaresLoss([5.0, 5.0]), CONST(0.5),
-                     AnticipatedLossStrategy("previous"), noise=np.zeros(2))
-        np.testing.assert_array_equal(state.theta, [0.7, -0.3])
+                     AnticipatedLossStrategy("previous"), noise=np.zeros((1, 2)))
+        np.testing.assert_array_equal(state.theta, [[0.7, -0.3]])
 
     def test_hand_value(self):
         state = make_state([0.0])
         stdp_zo_step(state, LeastSquaresLoss([0.0]), CONST(0.1),
-                     AnticipatedLossStrategy("zero"), noise=np.array([math.log(2.0)]))
-        assert state.theta[0] == pytest.approx(-0.07206795208773022, rel=1e-12)
+                     AnticipatedLossStrategy("zero"), noise=np.array([[math.log(2.0)]]))
+        assert state.theta[0, 0] == pytest.approx(-0.07206795208773022, rel=1e-12)
 
     def test_history_grows_and_is_bounded(self):
         state = make_state([0.0], memory=3, history=[1.0])
         gen = RngStream(5).generator()
         for k in range(10):
             stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.01),
-                         AnticipatedLossStrategy("previous"), gen.uniform(-1.0, 1.0, size=1))
+                         AnticipatedLossStrategy("previous"), gen.uniform(-1.0, 1.0, size=(1, 1)))
             assert state.iteration == k + 1
             assert len(state.loss_history) <= 3
 
@@ -208,7 +225,7 @@ class TestStdpZoStep:
         state = make_state([0.0])
         with pytest.raises(ValueError, match="nonempty"):
             stdp_zo_step(state, LeastSquaresLoss([1.0]), CONST(0.1),
-                         AnticipatedLossStrategy("previous"), noise=np.zeros(1))
+                         AnticipatedLossStrategy("previous"), noise=np.zeros((1, 1)))
 
     def test_mean_displacement_matches_smoothed_gradient(self):
         # one-step mean displacement at fixed theta vs the gradient-form
@@ -221,11 +238,11 @@ class TestStdpZoStep:
         displacements = np.empty(n)
         state = make_state([0.0])
         for i in range(n):
-            state.theta = np.zeros(1)
+            state.theta = np.zeros((1, 1))
             state.iteration = 0
             stdp_zo_step(state, loss, CONST(alpha), AnticipatedLossStrategy("zero"),
-                         noise=u[i])
-            displacements[i] = state.theta[0]
+                         noise=u[i:i + 1])
+            displacements[i] = state.theta[0, 0]
         report = check_mean_step(loss, [0.0], a, alpha, 200_000, RngStream(23),
                                 quadrature=True)
         se = displacements.std(ddof=1) / math.sqrt(n)
@@ -238,10 +255,10 @@ class TestStdpZoStep:
         # the zero vector over fresh noise
         n = 1_000_000
         gen = RngStream(24).generator()
-        history = deque([0.83], maxlen=4)
-        baseline = anticipated_loss(history, AnticipatedLossStrategy("previous"))
+        history = deque([np.array([0.83])], maxlen=4)
+        lbar = anticipated_loss(history, AnticipatedLossStrategy("previous"))
         u = gen.uniform(-1.0, 1.0, size=(n, 2))
-        contribution = baseline * (np.exp(-u) - np.exp(u))
+        contribution = lbar[:, None] * (np.exp(-u) - np.exp(u))
         mean = contribution.mean(axis=0)
         se = contribution.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean) <= 3 * se)
@@ -249,31 +266,32 @@ class TestStdpZoStep:
 
 class TestStdpMultiplicativeStep:
     def test_zero_noise_is_identity(self):
-        state = init_state([0.5, 2.0])
-        state.loss_history.append(7.0)
+        state = make_state([0.5, 2.0], history=[7.0])
         stdp_multiplicative_step(state, LeastSquaresLoss([1.0, 1.0]), CONST(0.1),
-                                 AnticipatedLossStrategy("previous"), noise=np.zeros(2))
-        np.testing.assert_array_equal(state.theta, [0.5, 2.0])
+                                 AnticipatedLossStrategy("previous"), noise=np.zeros((1, 2)))
+        np.testing.assert_array_equal(state.theta, [[0.5, 2.0]])
 
     def test_hand_value(self):
         # alpha * delta = 0.1 with U = ln 2 scales the weight by 0.85
-        state = init_state([1.0])
+        state = make_state([1.0])
         stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(0.1),
-                                 AnticipatedLossStrategy("zero"), noise=np.array([math.log(2.0)]))
-        assert state.theta[0] == pytest.approx(0.85, rel=1e-14)
+                                 AnticipatedLossStrategy("zero"),
+                                 noise=np.array([[math.log(2.0)]]))
+        assert state.theta[0, 0] == pytest.approx(0.85, rel=1e-14)
 
     def test_positivity_violation_raises(self):
-        state = init_state([1.0])
-        with pytest.raises(PositivityError, match="index 0"):
+        state = make_state([1.0])
+        with pytest.raises(PositivityError, match="index 0") as raised:
             stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(1.0),
-                                     AnticipatedLossStrategy("zero"), noise=np.array([1.0]))
+                                     AnticipatedLossStrategy("zero"), noise=np.array([[1.0]]))
+        assert raised.value.row == 0
 
     def test_clamp_keeps_weights_positive(self):
-        state = init_state([1.0])
+        state = make_state([1.0])
         stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(1.0),
-                                 AnticipatedLossStrategy("zero"), noise=np.array([1.0]),
+                                 AnticipatedLossStrategy("zero"), noise=np.array([[1.0]]),
                                  clamp=True)
-        assert state.theta[0] > 0
+        assert state.theta[0, 0] > 0
 
     def test_positive_whenever_step_is_small(self):
         rng = np.random.default_rng(25)
@@ -282,9 +300,9 @@ class TestStdpMultiplicativeStep:
             w = np.exp(rng.standard_normal(d))
             u = rng.uniform(-1.0, 1.0, d)
             scale = rng.uniform(0.001, 0.1) / (math.e - 1.0 / math.e)
-            state = init_state(w)
+            state = make_state(w)
             stdp_multiplicative_step(state, ConstantLoss(1.0), CONST(scale),
-                                     AnticipatedLossStrategy("zero"), noise=u)
+                                     AnticipatedLossStrategy("zero"), noise=u[None, :])
             assert np.all(state.theta > 0)
 
     def test_log_agrees_with_additive_step_to_second_order(self):
@@ -301,15 +319,15 @@ class TestStdpMultiplicativeStep:
             # keep the per-coordinate step x = alpha*delta*(e^-U - e^U) within 0.1
             alpha = rng.uniform(0.05, 1.0) * 0.1 / (abs(delta) * spread)
 
-            mult = init_state(w.copy())
+            mult = make_state(w)
             stdp_multiplicative_step(mult, inner, CONST(alpha), AnticipatedLossStrategy("zero"),
-                                     noise=u)
-            add = make_state(theta.copy())
+                                     noise=u[None, :])
+            add = make_state(theta)
             stdp_zo_step(add, LogReparamLoss(inner), CONST(alpha),
-                         AnticipatedLossStrategy("zero"), noise=u)
+                         AnticipatedLossStrategy("zero"), noise=u[None, :])
 
             x = alpha * delta * (np.exp(-u) - np.exp(u))
-            gap = np.abs(np.log(mult.theta) - add.theta)
+            gap = np.abs(np.log(mult.theta[0]) - add.theta[0])
             assert np.all(gap <= x ** 2 + 1e-15)
 
 

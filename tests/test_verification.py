@@ -128,8 +128,8 @@ class TestNumpyOraclesAgainstScipy:
 
     def test_mean_step_quadrature_differentiates_a_loss_without_gradient(self):
         class ValueOnly(LossFunction):
-            def evaluate(self, params, sample=None):
-                return float(np.sum((params - 1.0) ** 2))
+            def evaluate_many(self, points, sample=None):
+                return np.sum((points - 1.0) ** 2, axis=1)
 
         theta = np.array([0.2, -0.4])
         got = _mean_step_quadrature(ValueOnly(), theta, 1.0, 1.0)
