@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
+import threading
 from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
@@ -52,6 +55,7 @@ from .verification import (
     check_zero_mean_prev,
     divergence_demo,
     variance_scaling_sweep,
+    _cpu_count,
 )
 
 __all__ = ["main", "ConfigError"]
@@ -59,6 +63,10 @@ __all__ = ["main", "ConfigError"]
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker raised, or ended without sending its result."""
 
 
 def _load_config(path: str | None, default: dict | None = None) -> tuple[dict, Path | None]:
@@ -87,11 +95,15 @@ def _check_keys(doc, allowed, where: str):
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)``; a value that does not convert is a ConfigError naming ``field``."""
+    """``kind(value)``; a value that does not convert is a ConfigError naming
+    ``field``, and so for an int is a boolean or a number with a fraction."""
     try:
-        return kind(value)
+        number = kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
+        raise ConfigError(f"field {field!r} must be an integer, not {value!r}")
+    return number
 
 
 def _finite(value, field: str) -> float:
@@ -183,7 +195,11 @@ def _build_loss(doc, dim: int):
     if kind == "power":
         _check_keys(doc, {"kind", "power", "target"}, "loss")
         target = _vector(doc.get("target", {"fill": 0.0}), dim, "loss.target")
-        return PowerLoss(_number(doc.get("power", 4), "loss.power", int), target=target), None
+        power = _number(doc.get("power", 4), "loss.power", int)
+        try:
+            return PowerLoss(power, target=target), None
+        except ValueError as exc:
+            raise ConfigError(f"field 'loss.power': {exc}") from exc
     if kind == "linear-gaussian":
         _check_keys(doc, {"kind", "theta_star", "noise_sd"}, "loss")
         theta_star = _vector(doc.get("theta_star", {"fill": 1.0}), dim, "loss.theta_star")
@@ -372,6 +388,16 @@ _OPTIMIZE_KEYS = {"methods", "loss", "dim", "iterations", "replicates", "seed",
 
 
 def cmd_optimize(args) -> int:
+    """Run every method's replicates and write their trace CSV.
+
+    The replicates split into two contiguous halves, each run by
+    run_methods on its own lane: the lower half here, the upper half in a
+    forked worker when the process may use two CPUs (see ``_map_lanes``),
+    else here after the lower. Every replicate draws from its own
+    substreams, and the lanes' rows and failures are put together as one
+    serial run writes them, so the CSV, the message and the exit code do
+    not depend on the CPU count.
+    """
     doc, _ = _load_config(args.config)
     _check_keys(doc, _OPTIMIZE_KEYS, "optimize config")
     seed = _seed(args, doc, 0)
@@ -422,23 +448,115 @@ def cmd_optimize(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # a failure keeps the traces up to it and ends the run
-    failure: OptimizerStepError | None = None
-    try:
-        traces = run_methods(loss, configs, RngStream(seed), replicates, stream)
-    except OptimizerStepError as exc:
-        failure, traces = exc, exc.partial
-    lines = ["method,replicate,iter,loss,theta_norm"]
-    for trace in traces:
-        prefix = f"{trace.method},{trace.replicate},"
-        lines += [f"{prefix}{k},{_format_float(value)},{_format_float(norm)}"
-                  for k, (value, norm) in enumerate(
-                      zip(trace.loss.tolist(), trace.theta_norm.tolist()), start=1)]
-    _write_text(out, "\n".join(lines) + "\n")
+    half = replicates // 2
+    lanes = [lane for lane in (range(half), range(half, replicates)) if lane]
+    results = _map_lanes(lambda lane: _optimize_lane(loss, configs, seed, lane, stream), lanes)
+    blocks, failure = _stitch(results, len(configs))
+    with _output(out) as fh:
+        fh.write("method,replicate,iter,loss,theta_norm\n")
+        fh.writelines(blocks)
     if failure is not None:
         print(f"optimize failed at {failure}", file=sys.stderr)
         return 1
     return 0
+
+
+def _optimize_lane(loss, configs: list, seed: int, replicates: range, stream) -> tuple:
+    """Run ``replicates`` of every config's method.
+
+    Returns the CSV rows of each method that ran, one string per method,
+    and the failure as (method index, replicate, iteration, message), or
+    None. A failure keeps the rows up to it and ends the lane as
+    run_methods ends it.
+    """
+    failure = None
+    try:
+        traces = run_methods(loss, configs, RngStream(seed), replicates, stream)
+    except OptimizerStepError as exc:
+        traces = exc.partial
+        # every method before the failing one ran all of the lane's replicates
+        failure = ((len(traces) - 1) // len(replicates), traces[-1].replicate,
+                   exc.iteration, str(exc))
+    blocks = []
+    for first in range(0, len(traces), len(replicates)):
+        rows = []
+        for trace in traces[first:first + len(replicates)]:
+            prefix = f"{trace.method},{trace.replicate},"
+            rows += [f"{prefix}{k},{_format_float(value)},{_format_float(norm)}\n"
+                     for k, (value, norm) in enumerate(
+                         zip(trace.loss.tolist(), trace.theta_norm.tolist()), start=1)]
+        blocks.append("".join(rows))
+    return blocks, failure
+
+
+def _stitch(results: list, methods: int) -> tuple:
+    """The rows of the lanes' ``_optimize_lane`` results, in lane order, as
+    one serial run over all replicates writes them, and its failure message.
+
+    As in run_methods, the lowest failing method decides and within it the
+    lowest failing replicate: every lane gives the methods before it, and
+    the failing method's rows run up to the failure.
+    """
+    failures = [failure for _, failure in results if failure is not None]
+    failure = min(failures, default=None)
+    end = methods if failure is None else failure[0]
+    blocks = [rows[m] for m in range(end) for rows, _ in results]
+    if failure is None:
+        return blocks, None
+    for rows, lane_failure in results:
+        blocks.append(rows[end])
+        if lane_failure == failure:
+            break
+    return blocks, failure[3]
+
+
+def _map_lanes(func, lanes: list) -> list:
+    """``[func(lane) for lane in lanes]`` for one or two lanes.
+
+    Two lanes run at once when the process may use two CPUs, ``os.fork``
+    exists and no other thread is alive: a forked worker runs the second
+    and pickles its result back through a pipe. Otherwise they run here one
+    after the other. The worker always ends with ``os._exit`` and is reaped
+    on every path; one that raises is a WorkerError here.
+    """
+    if not (len(lanes) == 2 and _cpu_count() >= 2 and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        return [func(lane) for lane in lanes]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                data = pickle.dumps((func(lanes[1]), None), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((None, f"{type(exc).__name__}: {exc}"))
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as fh:
+            first = func(lanes[0])
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:
+            import signal  # only on this path, so not on the import path
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not data:
+        raise WorkerError(f"optimize worker ended without a result, "
+                          f"exit code {os.waitstatus_to_exitcode(status)}")
+    second, error = pickle.loads(data)
+    if error is not None:
+        raise WorkerError(f"optimize worker failed: {error}")
+    return [first, second]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +769,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OptimizerStepError as exc:
+    except (OptimizerStepError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -550,9 +550,12 @@ def run_replicate(loss, config: RunConfig, base, replicate: int,
 
 
 def run_methods(loss: LossFunction, configs: list[RunConfig], base,
-                replicates: int = 1,
+                replicates: int | range = 1,
                 stream: DataStream | None = None) -> list[ReplicateTrace]:
     """Run ``replicates`` independent trajectories of each config's method.
+
+    ``replicates`` is a count, or a range of replicate indices to run; a
+    replicate's trace is the same whichever other replicates run with it.
 
     ``base`` is the RngStream whose substreams supply initialization, data,
     and method noise. The initialization and data substreams depend only on
@@ -578,15 +581,17 @@ def run_methods(loss: LossFunction, configs: list[RunConfig], base,
     For 'stdp-mult' the trace's theta_norm column holds the norm of
     log(weights), the quantity comparable across parametrizations.
     """
-    if replicates < 1:
+    if not isinstance(replicates, range):
+        replicates = range(replicates)
+    if not replicates:
         raise ValueError("replicates must be at least 1")
     n = max((config.iterations for config in configs), default=0)
     if stream is not None and any(config.iterations != n for config in configs):
         raise ValueError("methods that share a data stream must run the same iterations")
     if stream is not None:
-        batches = [[r] for r in range(replicates)]
+        batches = [[r] for r in replicates]
     else:
-        batches = [list(range(replicates))]
+        batches = [list(replicates)]
     per_method = [[] for _ in configs]
     failure = None          # the error of the lowest failing method so far
     running = len(configs)  # methods after a failing one are never run again

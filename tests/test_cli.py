@@ -20,9 +20,18 @@ from hypothesis import strategies as st
 
 import one_pass_reference as one_pass
 from spiking_reference import reference_spike_demo
-from spikezero import cli
+from spikezero import cli, verification
 from spikezero.cli import _run_check, main
-from spikezero.core import RngStream
+from spikezero.core import LearningRateSchedule, RngStream
+from spikezero.losses import DataStream, LeastSquaresLoss, LinearModelLoss, PowerLoss
+from spikezero.optimizers import (
+    AnticipatedLossStrategy,
+    GaussianNoiseConfig,
+    OptimizerStepError,
+    RunConfig,
+    run_methods,
+)
+from spikezero.perturbation import NoiseConfig
 from spikezero.spiking import KernelParams, Topology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -270,7 +279,7 @@ def failing_config(tmp_path, alpha0):
                            seed=11, schedule={"kind": "constant", "alpha0": alpha0})
 
 
-def test_optimize_step_error_output_is_pinned(tmp_path, capsys):
+def test_optimize_step_error_output_is_pinned(tmp_path, capsys, cpus):
     # replicate 0 fails at its second step
     assert main(["optimize", "--config", failing_config(tmp_path, 5.0)]) == 1
     assert capsys.readouterr().err == (
@@ -281,7 +290,7 @@ def test_optimize_step_error_output_is_pinned(tmp_path, capsys):
         b"stdp-mult,0,1,125.62967246987924,3.1903894557160295\n")
 
 
-def test_optimize_lowest_failing_replicate_is_pinned(tmp_path, capsys):
+def test_optimize_lowest_failing_replicate_is_pinned(tmp_path, capsys, cpus):
     # replicate 3 fails at iteration 5 and replicate 2 at 34; as if run one
     # after another, replicates 0 and 1 finish, 2 stops and 3 is dropped
     assert main(["optimize", "--config", failing_config(tmp_path, 0.05)]) == 1
@@ -305,7 +314,7 @@ def test_optimize_huge_start_records_inf_without_warnings(tmp_path):
     assert all(r["loss"] == "inf" for r in rows)
 
 
-def test_optimize_clamped_underflow_records_inf_without_warnings(tmp_path):
+def test_optimize_clamped_underflow_records_inf_without_warnings(tmp_path, cpus):
     # clamped multipliers drive the weights to 0.0, whose log norm is inf
     cfg = write_config(tmp_path, "clamp.json", {
         "methods": ["stdp-mult"], "dim": 2, "iterations": 200, "replicates": 2, "seed": 1,
@@ -392,6 +401,16 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("spike-demo", {"alpha": math.inf}, "alpha"),
     ("spike-demo", {"params": {"decay": math.inf}}, "decay"),
     ("spike-demo", {"params": {"threshold": math.inf}}, "threshold"),
+    # powers PowerLoss refuses
+    ("optimize", {"loss": {"kind": "power", "power": 3}}, "loss.power"),
+    ("optimize", {"loss": {"kind": "power", "power": 0}}, "loss.power"),
+    # integer fields that would truncate
+    ("optimize", {"dim": 2.7}, "dim"),
+    ("optimize", {"iterations": True}, "iterations"),
+    ("optimize", {"replicates": True}, "replicates"),
+    ("optimize", {"loss": {"kind": "power", "power": 4.5}}, "loss.power"),
+    ("sweep", {"dims": [2, 4], "samples_per_dim": 1.5}, "samples_per_dim"),
+    ("spike-demo", {"trials": False}, "trials"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -413,9 +432,163 @@ def test_output_path_that_is_not_a_path_exits_two(tmp_path, capsys, command, out
     assert capsys.readouterr().err.startswith("error: field 'out'")
 
 
+def test_integral_float_config_values_count_as_integers(tmp_path):
+    # JSON numbers such as 1e1 parse as floats
+    cfg = optimize_config(tmp_path, iterations=1e1, replicates=2.0, dim=3.0)
+    assert main(["optimize", "--config", cfg]) == 0
+    assert len(read_rows(tmp_path / "trace.csv")) == 3 * 2 * 10
+
+
 def test_optimize_requires_config(capsys):
     assert main(["optimize"]) == 2
     assert "config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# optimize on two lanes against one serial run_methods call
+
+
+OPTIMIZE_LOSSES = {
+    "least-squares": {"kind": "least-squares", "target": {"fill": 2.0}},
+    # diverges to inf within a few steps at the larger step sizes
+    "power": {"kind": "power", "power": 4},
+    # a data stream: replicates run one at a time
+    "linear-gaussian": {"kind": "linear-gaussian", "theta_star": {"fill": 1.0},
+                        "noise_sd": 0.1},
+}
+
+
+@st.composite
+def optimize_cases(draw):
+    """An optimize config of a few small replicates, every field spelled out.
+    Large steps make stdp-mult fail its positivity check and the power loss
+    diverge, in any replicate."""
+    theta0 = draw(st.none() | st.sampled_from([0.0, 0.5, 3.0]))
+    return {"methods": draw(st.lists(st.sampled_from(["gd", "one-point", "stdp-zo", "stdp-mult"]),
+                                     min_size=1, max_size=4)),
+            "loss": OPTIMIZE_LOSSES[draw(st.sampled_from(sorted(OPTIMIZE_LOSSES)))],
+            "dim": draw(st.integers(1, 4)), "iterations": draw(st.integers(0, 12)),
+            "replicates": draw(st.integers(1, 5)), "seed": draw(st.integers(0, 2 ** 32 - 1)),
+            "schedule": {"kind": "constant",
+                         "alpha0": draw(st.sampled_from([0.01, 0.1, 0.5, 2.0, 20.0]))},
+            "strategy": {"kind": "previous"}, "half_interval": draw(st.sampled_from([0.25, 1.0])),
+            "sigma2": 1.0, "clamp": draw(st.booleans()),
+            "theta0": None if theta0 is None else {"fill": theta0}}
+
+
+def reference_optimize(doc: dict) -> tuple:
+    """(CSV text, exit code, stderr) of one serial run_methods call over all replicates."""
+    dim, spec = doc["dim"], doc["loss"]
+    stream = None
+    if spec["kind"] == "least-squares":
+        loss = LeastSquaresLoss(np.full(dim, spec["target"]["fill"]))
+    elif spec["kind"] == "power":
+        loss = PowerLoss(spec["power"], target=np.zeros(dim))
+    else:
+        loss = LinearModelLoss()
+        stream = DataStream("linear-gaussian", theta_star=np.full(dim, spec["theta_star"]["fill"]),
+                            noise_sd=spec["noise_sd"])
+    theta0 = None if doc["theta0"] is None else np.full(dim, doc["theta0"]["fill"])
+    configs = [RunConfig(method=method, dim=dim, iterations=doc["iterations"],
+                         schedule=LearningRateSchedule.constant(doc["schedule"]["alpha0"]),
+                         strategy=AnticipatedLossStrategy(doc["strategy"]["kind"]),
+                         noise=NoiseConfig(doc["half_interval"], dim),
+                         gaussian=GaussianNoiseConfig(doc["sigma2"]), theta0=theta0,
+                         clamp=doc["clamp"])
+               for method in doc["methods"]]
+    try:
+        traces = run_methods(loss, configs, RngStream(doc["seed"]), doc["replicates"], stream)
+        code, err = 0, ""
+    except OptimizerStepError as exc:
+        traces, code, err = exc.partial, 1, f"optimize failed at {exc}\n"
+    rows = [f"{r.method},{r.replicate},{r.iteration},{r.loss!r},{r.theta_norm!r}\n"
+            for trace in traces for r in trace.rows]
+    return "method,replicate,iter,loss,theta_norm\n" + "".join(rows), code, err
+
+
+def counting_forks(monkeypatch) -> list:
+    """Patch os.fork to log each call's result; the list gets one entry per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the two pinned failing configs: replicate 0 fails in the lower half, then
+# replicates 3 and 2 in the upper half, whose lowest failing one decides
+FAILING_CASE = {"methods": ["stdp-mult", "gd"], "loss": OPTIMIZE_LOSSES["least-squares"],
+                "dim": 3, "iterations": 40, "replicates": 4, "seed": 11,
+                "schedule": {"kind": "constant", "alpha0": 5.0}, "strategy": {"kind": "previous"},
+                "half_interval": 1.0, "sigma2": 1.0, "clamp": False, "theta0": None}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=optimize_cases())
+@example(doc=FAILING_CASE)
+@example(doc={**FAILING_CASE, "schedule": {"kind": "constant", "alpha0": 0.05}})
+# repeated methods, an odd replicate count and a data stream
+@example(doc={**FAILING_CASE, "methods": ["gd", "stdp-mult", "gd", "stdp-mult"],
+              "loss": OPTIMIZE_LOSSES["linear-gaussian"], "replicates": 5,
+              "schedule": {"kind": "constant", "alpha0": 0.5}})
+def test_optimize_equals_one_serial_run_on_any_cpu_count(tmp_path, monkeypatch, cpus, doc):
+    out = tmp_path / "trace.csv"
+    out.unlink(missing_ok=True)
+    cfg = write_config(tmp_path, "optimize.json", {**doc, "out": str(out)})
+    forks = counting_forks(monkeypatch)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["optimize", "--config", cfg])
+    assert (out.read_text(), code, err.getvalue()) == reference_optimize(doc)
+    assert len(forks) == (cpus == 2 and doc["replicates"] >= 2)
+    assert_no_child_left()
+
+
+def needs_two_cpus():
+    if verification._cpu_count() < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs two CPUs and os.fork")
+
+
+def patch_lanes(monkeypatch, upper, lower=cli._optimize_lane):
+    """Run ``upper`` in place of optimize's upper lane, past replicate 0,
+    and ``lower`` in place of its lower lane."""
+    monkeypatch.setattr(cli, "_optimize_lane", lambda loss, configs, seed, lane, stream: (
+        upper if lane.start > 0 else lower)(loss, configs, seed, lane, stream))
+
+
+def raise_boom(*args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("upper,message", [
+    (raise_boom, "optimize worker failed: RuntimeError: boom"),
+    (lambda *args: os._exit(3), "optimize worker ended without a result, exit code 3"),
+], ids=["raises", "exits"])
+def test_optimize_worker_that_fails_exits_one_and_leaves_no_child(tmp_path, capsys,
+                                                                  monkeypatch, upper, message):
+    needs_two_cpus()
+    patch_lanes(monkeypatch, upper)
+    assert main(["optimize", "--config", optimize_config(tmp_path, replicates=3)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert_no_child_left()
+
+
+def test_optimize_interrupted_kills_and_reaps_its_worker(tmp_path, monkeypatch):
+    needs_two_cpus()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    # the worker would sleep far past the test; the interrupt must end it
+    patch_lanes(monkeypatch, lambda *args: time.sleep(600), interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["optimize", "--config", optimize_config(tmp_path)])
+    assert time.monotonic() - started < 60
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
