@@ -69,157 +69,147 @@ class WorkerError(RuntimeError):
     """A forked worker raised, or ended without sending its result."""
 
 
-def _load_config(path: str | None, default: dict | None = None) -> tuple[dict, Path | None]:
-    if path is None:
-        if default is None:
-            raise ConfigError("a config file is required (--config)")
-        return dict(default), None
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    return doc, p.parent
+# ---------------------------------------------------------------------------
+# config
 
 
-def _check_keys(doc, allowed, where: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
+REQUIRED = object()
+VECTOR = "vector"
+
+
+class ByKind(dict):
+    """Nested tables, one per value of the object's "kind" field."""
+
+
+def resolve(doc: dict, table: dict, path: str = "") -> dict:
+    """``doc`` checked against ``table``, every absent field at its default.
+
+    ``table`` maps each field to (kind, default, bound); TABLES holds one
+    per command. A kind is int or float (a number), bool, str (nonempty),
+    VECTOR (a list of numbers, or {"fill": x}, which resolves to the float
+    x), a tuple (one of its strings), [kind] (a list of that kind), a dict
+    (a nested table) or a ByKind. Floats and vector entries must be finite.
+    A REQUIRED field must be given; a field whose default is None takes
+    null. A bound, "> x" or ">= x", holds for a number, each vector entry
+    and the length of a list. Raises ConfigError naming the dotted path of
+    the first field that is unknown, missing, or not of its kind and bound.
+    """
     for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {key!r} in {where}")
+        if key not in table:
+            raise ConfigError(f"unknown field {path + key!r}")
+    return {key: _resolve_value(doc.get(key, default), kind, default, bound, path + key)
+            for key, (kind, default, bound) in table.items()}
 
 
-def _number(value, field: str, kind=float):
-    """``kind(value)``; a value that does not convert is a ConfigError naming
-    ``field``, and so for an int is a boolean or a number with a fraction."""
-    try:
-        number = kind(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
-        raise ConfigError(f"field {field!r} must be an integer, not {value!r}")
-    return number
-
-
-def _finite(value, field: str) -> float:
-    """``_number(value, field)``; an infinite or NaN value is a ConfigError naming ``field``."""
-    value = _number(value, field)
-    if not math.isfinite(value):
-        raise ConfigError(f"field {field!r} must be finite, not {value!r}")
-    return value
-
-
-def _flag(doc: dict, key: str, default: bool) -> bool:
-    """The JSON boolean at ``key``; any other value, the string "false" too, is a ConfigError."""
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"field {key!r} must be true or false, not {value!r}")
-    return value
-
-
-def _seed(args, doc: dict, default: int) -> int:
-    seed = _number(args.seed if args.seed is not None else doc.get("seed", default), "seed", int)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return seed
-
-
-def _vector(spec, dim: int, what: str) -> np.ndarray:
-    """A config vector: either an explicit list or {"fill": value}."""
-    if isinstance(spec, dict):
-        _check_keys(spec, {"fill"}, what)
-        if "fill" not in spec:
-            raise ConfigError(f"{what} needs 'fill' or an explicit list")
-        return np.full(dim, _number(spec["fill"], f"{what}.fill"))
-    arr = _number(spec, what, lambda v: np.asarray(v, dtype=np.float64))
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise ConfigError(f"{what} must be a list of length {dim}")
-    return arr
-
-
-def _positive(doc: dict, key: str, where: str, default=None) -> float:
-    value = doc.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    value = _number(value, key)
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{key} must be positive and finite")
-    return value
-
-
-def _build_schedule(doc) -> LearningRateSchedule:
-    _check_keys(doc, {"kind", "alpha0", "power"}, "schedule")
-    kind = doc.get("kind", "constant")
-    if "alpha0" not in doc:
-        raise ConfigError("missing field 'alpha0' in schedule")
-    alpha0 = _number(doc["alpha0"], "schedule.alpha0")
-    try:
-        if kind == "constant":
-            return LearningRateSchedule.constant(alpha0)
-        if kind == "power":
-            return LearningRateSchedule.power_decay(
-                alpha0, _number(doc.get("power", 1.0), "schedule.power"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown schedule kind {kind!r}")
-
-
-def _build_strategy(doc) -> AnticipatedLossStrategy:
-    if doc is None:
-        return AnticipatedLossStrategy("previous")
-    _check_keys(doc, {"kind", "memory", "decay"}, "strategy")
-    decay = doc.get("decay")
-    try:
-        return AnticipatedLossStrategy(
-            kind=doc.get("kind", "previous"),
-            memory=_number(doc.get("memory", 32), "strategy.memory", int),
-            decay=None if decay is None else _number(decay, "strategy.decay"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_loss(doc, dim: int):
-    if not isinstance(doc, dict):
-        raise ConfigError("loss must be an object")
-    kind = doc.get("kind")
-    if kind == "least-squares":
-        _check_keys(doc, {"kind", "target"}, "loss")
-        target = _vector(doc.get("target", {"fill": 0.0}), dim, "loss.target")
-        return LeastSquaresLoss(target), None
-    if kind == "power":
-        _check_keys(doc, {"kind", "power", "target"}, "loss")
-        target = _vector(doc.get("target", {"fill": 0.0}), dim, "loss.target")
-        power = _number(doc.get("power", 4), "loss.power", int)
+def _resolve_value(value, kind, default, bound, field: str):
+    if value is REQUIRED:
+        raise ConfigError(f"missing field {field!r}")
+    if value is None and default is None:
+        return None
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"field {field!r} must be an object, not {value!r}")
+        if not isinstance(kind, ByKind):
+            return resolve(value, kind, field + ".")
+        tag = value.get("kind")
+        if not (isinstance(tag, str) and tag in kind):
+            raise ConfigError(f"field '{field}.kind' must be one of "
+                              f"{', '.join(kind)}, not {tag!r}")
+        rest = {key: v for key, v in value.items() if key != "kind"}
+        return {"kind": tag, **resolve(rest, kind[tag], field + ".")}
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"field {field!r} must be one of {', '.join(kind)}, not {value!r}")
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"field {field!r} must be a list, not {value!r}")
+        if bound is not None and not _within(len(value), bound):
+            raise ConfigError(f"field {field!r} must have {bound} entries, not {len(value)}")
+        return [_resolve_value(v, kind[0], REQUIRED, None, f"{field}[{i}]")
+                for i, v in enumerate(value)]
+    if kind is bool or kind is str:
+        if not isinstance(value, kind) or value == "":
+            what = "true or false" if kind is bool else "a nonempty string"
+            raise ConfigError(f"field {field!r} must be {what}, not {value!r}")
+        return value
+    if kind == VECTOR:
+        if isinstance(value, dict):
+            return resolve(value, {"fill": (float, REQUIRED, bound)}, field + ".")["fill"]
         try:
-            return PowerLoss(power, target=target), None
-        except ValueError as exc:
-            raise ConfigError(f"field 'loss.power': {exc}") from exc
-    if kind == "linear-gaussian":
-        _check_keys(doc, {"kind", "theta_star", "noise_sd"}, "loss")
-        theta_star = _vector(doc.get("theta_star", {"fill": 1.0}), dim, "loss.theta_star")
-        noise_sd = _number(doc.get("noise_sd", 0.0), "loss.noise_sd")
-        if noise_sd < 0:
-            raise ConfigError("noise_sd must be nonnegative")
-        stream = DataStream("linear-gaussian", theta_star=theta_star, noise_sd=noise_sd)
-        return LinearModelLoss(), stream
-    raise ConfigError(f"unknown loss kind {kind!r}")
+            value = np.asarray(value, dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):
+            value = None
+        if value is None or value.ndim != 1:
+            raise ConfigError(f'field {field!r} must be a list of numbers or {{"fill": x}}')
+        shown = " in every entry"
+    else:
+        try:
+            number = kind(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
+        if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
+            raise ConfigError(f"field {field!r} must be an integer, not {value!r}")
+        value, shown = number, f", not {number!r}"
+    if kind is not int and not np.all(np.isfinite(value)):
+        raise ConfigError(f"field {field!r} must be finite{shown}")
+    if bound is not None and not _within(value, bound):
+        raise ConfigError(f"field {field!r} must be {bound}{shown}")
+    return value
+
+
+def _within(value, bound: str) -> bool:
+    op, limit = bound.split()
+    return bool(np.all(value > float(limit) if op == ">" else value >= float(limit)))
+
+
+def _sized(vector, n: int, field: str) -> np.ndarray:
+    """A resolved vector field as an array of length ``n``."""
+    if isinstance(vector, float):
+        return np.full(n, vector)
+    if len(vector) != n:
+        raise ConfigError(f"field {field!r} must be a list of length {n}")
+    return vector
+
+
+@contextmanager
+def _built(path: str = ""):
+    """A library object's ValueError as a ConfigError naming the field.
+
+    Each such message starts with the name of the object's field, so the
+    object's dotted ``path`` before it names the config field.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}{exc}") from exc
+
+
+def _config(args, command: str, required: bool = True) -> tuple[dict, Path | None]:
+    """The resolved config of ``command`` after the --seed and --out
+    overrides, and the directory of the config file."""
+    doc, config_dir = {}, None
+    if args.config is not None:
+        p = Path(args.config)
+        try:
+            doc = json.loads(p.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from exc
+        except (ValueError, RecursionError) as exc:
+            # a decoding error, a number too long to convert, or nesting too deep
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        config_dir = p.parent
+    elif required:
+        raise ConfigError("a config file is required (--config)")
+    overrides = {key: value for key, value in (("seed", args.seed), ("out", args.out))
+                 if value is not None}
+    return resolve({**doc, **overrides}, TABLES[command]), config_dir
 
 
 def _format_float(x: float) -> str:
     return repr(float(x))
-
-
-def _out(args, doc: dict, default: str) -> Path:
-    out = args.out if args.out is not None else doc.get("out", default)
-    if not isinstance(out, str) or not out:
-        raise ConfigError(f"field 'out' must be a nonempty path, not {out!r}")
-    return Path(out)
 
 
 @contextmanager
@@ -243,22 +233,11 @@ def _write_text(path: Path, text: str):
 # verify
 
 
-_CHECK_NAMES = (
-    "normalizer",
-    "density-mass",
-    "density-sampler",
-    "stein",
-    "stein-zero",
-    "mean-step",
-    "mean-step-quartic",
-    "componentwise",
-    "zero-mean-prev",
-    "zero-mean-prev-quartic",
-    "variance-scaling",
-    "divergence",
-)
-
-_DEFAULT_SAMPLES = {
+# every check, in the order of its substream, with its default sample count
+# (None for a check that draws no samples)
+_CHECKS = {
+    "normalizer": None,
+    "density-mass": None,
     "density-sampler": 100_000,
     "stein": 1_000_000,
     "stein-zero": 1_000_000,
@@ -268,16 +247,15 @@ _DEFAULT_SAMPLES = {
     "zero-mean-prev": 1_000_000,
     "zero-mean-prev-quartic": 1_000_000,
     "variance-scaling": 100_000,
+    "divergence": None,
 }
-
-_VERIFY_DEFAULTS = {"checks": list(_CHECK_NAMES), "seed": 1, "half_interval": 1.0,
-                    "out": "verify_report.json", "samples": {}}
+_CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_check(name: str, seed: int, half_interval: float, n: int | None,
                lanes: Lanes | None = None):
     rng = RngStream(seed).substream(_CHECK_NAMES.index(name))
-    n = n if n is not None else _DEFAULT_SAMPLES.get(name)
+    n = n if n is not None else _CHECKS[name]
     if name == "normalizer":
         return check_normalizer(DEFAULT_HALF_INTERVALS, seed=seed)
     if name == "density-mass":
@@ -316,29 +294,11 @@ def _run_check(name: str, seed: int, half_interval: float, n: int | None,
     if name == "divergence":
         report, _ = divergence_demo()
         return report
-    raise ConfigError(f"unknown check {name!r}")
 
 
 def cmd_verify(args) -> int:
-    doc, _ = _load_config(args.config, default=_VERIFY_DEFAULTS)
-    _check_keys(doc, set(_VERIFY_DEFAULTS), "verify config")
-    seed = _seed(args, doc, 1)
-    out = _out(args, doc, "verify_report.json")
-    half_interval = _positive(doc, "half_interval", "verify config", default=1.0)
-    checks = doc.get("checks", list(_CHECK_NAMES))
-    if not isinstance(checks, list):
-        raise ConfigError("field 'checks' must be a list of check names")
-    for name in checks:
-        if name not in _CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r} in field 'checks'")
-    samples = doc.get("samples", {})
-    if not isinstance(samples, dict):
-        raise ConfigError("field 'samples' must map check names to sample counts")
-    for name in samples:
-        if name not in _CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r} in field 'samples'")
-    samples = {name: _number(n, f"samples.{name}", int)
-               for name, n in samples.items() if n is not None}
+    c, _ = _config(args, "verify", required=False)
+    checks, samples = c["checks"], c["samples"]
 
     # Two lanes: one runs the variance-scaling checks, whose sweep rows have
     # a small working set, the other runs the rest in config order, so at
@@ -354,8 +314,8 @@ def cmd_verify(args) -> int:
                 # a check that leaves the floating-point range fails instead of
                 # warning; so does one given fewer samples than it needs
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    reports[i] = _run_check(checks[i], seed, half_interval,
-                                            samples.get(checks[i]), lanes)
+                    reports[i] = _run_check(checks[i], c["seed"], c["half_interval"],
+                                            samples[checks[i]], lanes)
             except Exception as exc:
                 failures[i] = exc
                 return
@@ -371,7 +331,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"check {checks[i]!r}: {exc}") from exc
         raise exc
     payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    _write_text(out, payload)
+    _write_text(Path(c["out"]), payload)
     all_pass = all(r.passed for r in reports)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
@@ -382,9 +342,18 @@ def cmd_verify(args) -> int:
 # optimize
 
 
-_OPTIMIZE_KEYS = {"methods", "loss", "dim", "iterations", "replicates", "seed",
-                  "schedule", "strategy", "half_interval", "sigma2", "beta",
-                  "theta0", "clamp", "out"}
+def _build_loss(spec: dict, dim: int) -> tuple:
+    """The loss of a resolved ``loss`` field, and its data stream or None."""
+    if spec["kind"] == "linear-gaussian":
+        theta_star = _sized(spec["theta_star"], dim, "loss.theta_star")
+        with _built("loss."):
+            return LinearModelLoss(), DataStream("linear-gaussian", theta_star=theta_star,
+                                                 noise_sd=spec["noise_sd"])
+    target = _sized(spec["target"], dim, "loss.target")
+    if spec["kind"] == "least-squares":
+        return LeastSquaresLoss(target), None
+    with _built("loss."):
+        return PowerLoss(spec["power"], target=target), None
 
 
 def cmd_optimize(args) -> int:
@@ -398,61 +367,30 @@ def cmd_optimize(args) -> int:
     serial run writes them, so the CSV, the message and the exit code do
     not depend on the CPU count.
     """
-    doc, _ = _load_config(args.config)
-    _check_keys(doc, _OPTIMIZE_KEYS, "optimize config")
-    seed = _seed(args, doc, 0)
-    out = _out(args, doc, "trace.csv")
-    dim = _number(doc.get("dim", 0), "dim", int)
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
-    iterations = _number(doc.get("iterations", 0), "iterations", int)
-    if iterations < 0:
-        raise ConfigError("iterations must be nonnegative")
-    replicates = _number(doc.get("replicates", 1), "replicates", int)
-    if replicates < 1:
-        raise ConfigError("replicates must be at least 1")
-    methods = doc.get("methods")
-    if not methods:
-        raise ConfigError("missing field 'methods' in optimize config")
-    if not isinstance(methods, list):
-        raise ConfigError("field 'methods' must be a list of method names")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} in field 'methods'")
-    loss, stream = _build_loss(doc.get("loss", {"kind": "least-squares"}), dim)
-    schedule = _build_schedule(doc.get("schedule", {"kind": "constant", "alpha0": 0.1}))
-    strategy = _build_strategy(doc.get("strategy"))
-    theta0 = None
-    if doc.get("theta0") is not None:
-        theta0 = _vector(doc["theta0"], dim, "theta0")
-
-    noise = None
+    c, _ = _config(args, "optimize")
+    dim, methods, replicates, seed = c["dim"], c["methods"], c["replicates"], c["seed"]
+    loss, stream = _build_loss(c["loss"], dim)
+    with _built("schedule."):
+        schedule = LearningRateSchedule(**c["schedule"])
+    with _built("strategy."):
+        strategy = AnticipatedLossStrategy(**(c["strategy"] or {}))
+    theta0 = None if c["theta0"] is None else _sized(c["theta0"], dim, "theta0")
+    noise = gaussian = None
     if any(m in ("stdp-zo", "stdp-mult") for m in methods):
-        noise = NoiseConfig(_positive(doc, "half_interval", "optimize config", default=1.0), dim)
-    gaussian = None
-    if "one-point" in methods:
-        sigma2 = _positive(doc, "sigma2", "optimize config", default=1.0)
-        beta = doc.get("beta")
-        try:
-            gaussian = GaussianNoiseConfig(sigma2, None if beta is None else _number(beta, "beta"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    clamp = _flag(doc, "clamp", False)
-    configs = []
-    for method in methods:
-        try:
-            configs.append(RunConfig(method=method, dim=dim, iterations=iterations,
-                                     schedule=schedule, strategy=strategy, noise=noise,
-                                     gaussian=gaussian, theta0=theta0, clamp=clamp))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        noise = NoiseConfig(c["half_interval"], dim)
+    with _built():
+        if "one-point" in methods:
+            gaussian = GaussianNoiseConfig(c["sigma2"], c["beta"])
+        configs = [RunConfig(method=method, dim=dim, iterations=c["iterations"],
+                             schedule=schedule, strategy=strategy, noise=noise,
+                             gaussian=gaussian, theta0=theta0, clamp=c["clamp"])
+                   for method in methods]
 
     half = replicates // 2
     lanes = [lane for lane in (range(half), range(half, replicates)) if lane]
     results = _map_lanes(lambda lane: _optimize_lane(loss, configs, seed, lane, stream), lanes)
     blocks, failure = _stitch(results, len(configs))
-    with _output(out) as fh:
+    with _output(Path(c["out"])) as fh:
         fh.write("method,replicate,iter,loss,theta_norm\n")
         fh.writelines(blocks)
     if failure is not None:
@@ -563,28 +501,18 @@ def _map_lanes(func, lanes: list) -> list:
 # sweep
 
 
-_SWEEP_KEYS = {"dims", "sigma2", "samples_per_dim", "delta", "seed", "out"}
-
-
 def cmd_sweep(args) -> int:
-    doc, _ = _load_config(args.config)
-    _check_keys(doc, _SWEEP_KEYS, "sweep config")
-    seed = _seed(args, doc, 0)
-    out = _out(args, doc, "sweep.csv")
-    dims = doc.get("dims")
-    if (not dims or not isinstance(dims, list)
-            or not all(_number(d, "dims", int) >= 1 for d in dims)):
-        raise ConfigError("dims must be a nonempty list of positive integers")
-    if len({int(d) for d in dims}) == 1 < len(dims):
-        raise ConfigError("dims must hold two different dimensions to fit a slope")
-    sigma2 = _positive(doc, "sigma2", "sweep config", default=1.0)
-    n = _number(doc.get("samples_per_dim", 100_000), "samples_per_dim", int)
-    if n < 2:
-        raise ConfigError("samples_per_dim must be at least 2")
-    delta = _number(doc.get("delta", 1.0), "delta")
+    c, _ = _config(args, "sweep")
+    out, dims, n, seed = Path(c["out"]), c["dims"], c["samples_per_dim"], c["seed"]
+    if len(set(dims)) == 1 < len(dims):
+        raise ConfigError("field 'dims' must hold two different dimensions to fit a slope")
+    if out.suffix == ".json":
+        raise ConfigError(f"field 'out' must not end in .json, or the slope sidecar "
+                          f"overwrites the CSV: {out}")
 
     try:
-        rows, slope, slope_se = variance_scaling_sweep(dims, sigma2, n, RngStream(seed), delta)
+        rows, slope, slope_se = variance_scaling_sweep(dims, c["sigma2"], n, RngStream(seed),
+                                                        c["delta"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lines = ["d,quantity,value,se"]
@@ -597,7 +525,7 @@ def cmd_sweep(args) -> int:
         summary = {"slope": None, "slope_se": None, "message": "insufficient points"}
     else:
         summary = {"slope": slope, "slope_se": slope_se,
-                   "dims": [int(d) for d in dims], "samples_per_dim": n, "seed": seed}
+                   "dims": dims, "samples_per_dim": n, "seed": seed}
     _write_text(sidecar, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -606,22 +534,11 @@ def cmd_sweep(args) -> int:
 # spike demo
 
 
-_SPIKE_KEYS = {"topology", "trials", "seed", "params", "weights", "input_vector",
-               "input_scale", "input_offset", "readout", "reward_delta", "alpha",
-               "plasticity", "transform", "out"}
-
-
 def cmd_spike_demo(args) -> int:
-    doc, config_dir = _load_config(args.config)
-    _check_keys(doc, _SPIKE_KEYS, "spike-demo config")
-    seed = _seed(args, doc, 0)
-    out = _out(args, doc, "spikes.csv")
-    topology_path = doc.get("topology")
-    if topology_path is None:
-        raise ConfigError("missing field 'topology' in spike-demo config")
-    if not isinstance(topology_path, str):
-        raise ConfigError(f"field 'topology' must be a path, not {topology_path!r}")
-    topo_file = Path(topology_path)
+    c, config_dir = _config(args, "spike-demo")
+    trials, seed, plasticity = c["trials"], c["seed"], c["plasticity"]
+    reward_delta, alpha, readout = c["reward_delta"], c["alpha"], c["readout"]
+    topo_file = Path(c["topology"])
     if not topo_file.is_absolute() and config_dir is not None:
         topo_file = config_dir / topo_file
     if not topo_file.is_file():
@@ -631,57 +548,23 @@ def cmd_spike_demo(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trials = _number(doc.get("trials", 1), "trials", int)
-    if trials < 0:
-        raise ConfigError("trials must be nonnegative")
-    pdoc = doc.get("params", {})
-    _check_keys(pdoc, {"decay", "amplitude", "threshold", "half_interval"}, "params")
-    try:
-        params = KernelParams(
-            decay=_number(pdoc.get("decay", 1.0), "params.decay"),
-            amplitude=_number(pdoc.get("amplitude", 1.0), "params.amplitude"),
-            threshold=_number(pdoc.get("threshold", 1.0), "params.threshold"),
-            half_interval=_number(pdoc.get("half_interval", 1.0), "params.half_interval"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _built("params."):
+        params = KernelParams(**c["params"])
 
     edges = topology.edges
-    weight_vec = _vector(doc.get("weights", {"fill": 1.0}), len(edges), "weights")
-    if not np.all((weight_vec > 0) & (weight_vec < math.inf)):
-        raise ConfigError("weights must be positive and finite")
-    weights = weight_vec.tolist()
-
-    input_vec = _vector(doc.get("input_vector", {"fill": 0.0}), len(topology.inputs),
-                        "input_vector")
-    scale = _finite(doc.get("input_scale", 1.0), "input_scale")
-    offset = _finite(doc.get("input_offset", 0.0), "input_offset")
+    weights = _sized(c["weights"], len(edges), "weights").tolist()
+    input_vec = _sized(c["input_vector"], len(topology.inputs), "input_vector")
+    scale, offset = c["input_scale"], c["input_offset"]
     input_times = {nid: offset + scale * float(input_vec[i])
                    for i, nid in enumerate(topology.inputs)}
 
-    rdoc = doc.get("readout", {})
-    _check_keys(rdoc, {"scale", "offset", "sentinel"}, "readout")
-    readout_scale = _finite(rdoc.get("scale", 1.0), "readout.scale")
-    readout_offset = _finite(rdoc.get("offset", 0.0), "readout.offset")
-    sentinel = _finite(rdoc.get("sentinel", 1e6), "readout.sentinel")
-
-    reward_delta = doc.get("reward_delta")
-    if reward_delta is not None:
-        reward_delta = _finite(reward_delta, "reward_delta")
-    alpha = _finite(doc.get("alpha", 1.0), "alpha")
-    plasticity = _flag(doc, "plasticity", True)
     scaled = log_lam = None
-    if doc.get("transform") is not None:
-        tdoc = doc["transform"]
-        _check_keys(tdoc, {"lam"}, "transform")
-        lam_vec = _vector(tdoc.get("lam", {"fill": 1.0}), len(edges), "transform.lam")
-        if not np.all((lam_vec > 0) & (lam_vec < math.inf)):
-            raise ConfigError("transform.lam must be positive and finite")
+    if c["transform"] is not None:
+        lam = _sized(c["transform"]["lam"], len(edges), "transform.lam").tolist()
         if plasticity:
             # shifted offsets leave the plasticity timing window and scaled
             # weights would evolve differently, defeating the comparison
             raise ConfigError("transform requires plasticity to be disabled")
-        lam = lam_vec.tolist()
         # without plasticity the scaled weights hold for the whole run
         scaled = [x * w for x, w in zip(lam, weights)]
         zero = next((k for k, w in enumerate(scaled) if not w > 0), None)
@@ -703,15 +586,15 @@ def cmd_spike_demo(args) -> int:
     a = params.half_interval
     gen = RngStream(seed).substream(0).generator()
     failed = None
-    with _output(out) as fh:
+    with _output(Path(c["out"])) as fh:
         fh.write("trial,edge_or_neuron,kind,value\n")
         for t in range(trials):
             offsets = gen.uniform(-a, a, size=len(edges)).tolist()
             if scaled is not None:
                 offsets = [u - x for u, x in zip(offsets, log_lam)]
             record = run_trial(topology, weights if scaled is None else scaled, input_times,
-                               params, offsets=offsets, readout_scale=readout_scale,
-                               readout_offset=readout_offset, sentinel=sentinel)
+                               params, offsets=offsets, readout_scale=readout["scale"],
+                               readout_offset=readout["offset"], sentinel=readout["sentinel"])
             if plasticity:
                 weights = plasticity_update(topology, weights, record, params,
                                             reward_delta=reward_delta, alpha=alpha)
@@ -735,6 +618,79 @@ def cmd_spike_demo(args) -> int:
               f"with weight {weights[failed]!r}", file=sys.stderr)
         return 1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# config tables (see resolve)
+#
+# Bounds that the objects built from the fields check are left to them (see
+# _built): LearningRateSchedule, AnticipatedLossStrategy, GaussianNoiseConfig,
+# RunConfig (iterations), PowerLoss, DataStream, KernelParams, and
+# variance_scaling_sweep for the entries of dims. Rules that span fields
+# stay in the commands.
+
+
+TABLES = {
+    "verify": {
+        "checks": ([_CHECK_NAMES], list(_CHECK_NAMES), None),
+        # null, or absent, is the check's own sample count
+        "samples": ({name: (int, None, None) for name in _CHECK_NAMES}, {}, None),
+        "half_interval": (float, 1.0, "> 0"),
+        "seed": (int, 1, ">= 0"),
+        "out": (str, "verify_report.json", None),
+    },
+    "optimize": {
+        "methods": ([METHODS], REQUIRED, ">= 1"),
+        "loss": (ByKind({
+            "least-squares": {"target": (VECTOR, {"fill": 0.0}, None)},
+            "power": {"power": (int, 4, None), "target": (VECTOR, {"fill": 0.0}, None)},
+            "linear-gaussian": {"theta_star": (VECTOR, {"fill": 1.0}, None),
+                                "noise_sd": (float, 0.0, None)},
+        }), {"kind": "least-squares"}, None),
+        "dim": (int, REQUIRED, ">= 1"),  # sizes the vectors before RunConfig checks it
+        "iterations": (int, 0, None),
+        "replicates": (int, 1, ">= 1"),
+        "seed": (int, 0, ">= 0"),
+        "schedule": ({"kind": (("constant", "power"), "constant", None),
+                      "alpha0": (float, REQUIRED, None),
+                      "power": (float, 1.0, None)}, {"kind": "constant", "alpha0": 0.1}, None),
+        "strategy": ({"kind": (("previous", "zero", "exponential", "polynomial"), "previous", None),
+                      "memory": (int, 32, None),
+                      "decay": (float, None, None)}, None, None),
+        "half_interval": (float, 1.0, "> 0"),
+        "sigma2": (float, 1.0, None),
+        "beta": (float, None, None),
+        "theta0": (VECTOR, None, None),
+        "clamp": (bool, False, None),
+        "out": (str, "trace.csv", None),
+    },
+    "sweep": {
+        "dims": ([int], REQUIRED, ">= 1"),
+        "sigma2": (float, 1.0, "> 0"),
+        "samples_per_dim": (int, 100_000, ">= 2"),
+        "delta": (float, 1.0, None),
+        "seed": (int, 0, ">= 0"),
+        "out": (str, "sweep.csv", None),
+    },
+    "spike-demo": {
+        "topology": (str, REQUIRED, None),
+        "trials": (int, 1, ">= 0"),
+        "seed": (int, 0, ">= 0"),
+        "params": ({name: (float, 1.0, None) for name in
+                    ("decay", "amplitude", "threshold", "half_interval")}, {}, None),
+        "weights": (VECTOR, {"fill": 1.0}, "> 0"),
+        "input_vector": (VECTOR, {"fill": 0.0}, None),
+        "input_scale": (float, 1.0, None),
+        "input_offset": (float, 0.0, None),
+        "readout": ({"scale": (float, 1.0, None), "offset": (float, 0.0, None),
+                     "sentinel": (float, 1e6, None)}, {}, None),
+        "reward_delta": (float, None, None),
+        "alpha": (float, 1.0, None),
+        "plasticity": (bool, True, None),
+        "transform": ({"lam": (VECTOR, {"fill": 1.0}, "> 0")}, None, None),
+        "out": (str, "spikes.csv", None),
+    },
+}
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class AnticipatedLossStrategy:
             raise ValueError("memory must be at least 1")
         if self.kind in ("exponential", "polynomial"):
             if self.decay is None or not self.decay > 0:
-                raise ValueError(f"{self.kind} strategy requires decay > 0")
+                raise ValueError(f"decay must be positive for the {self.kind} strategy")
 
     def discount_weights(self, available: int) -> np.ndarray:
         """Normalized weights for lags 1..min(available, memory), read-only."""

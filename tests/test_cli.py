@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import gc
 import hashlib
@@ -96,7 +97,7 @@ def test_verify_rejects_nonpositive_half_interval(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json",
                        {"checks": ["normalizer"], "half_interval": -1.0})
     assert main(["verify", "--config", cfg]) == 2
-    assert "half_interval must be positive" in capsys.readouterr().err
+    assert "field 'half_interval' must be > 0, not -1.0" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_field(tmp_path, capsys):
@@ -411,6 +412,27 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("optimize", {"loss": {"kind": "power", "power": 4.5}}, "loss.power"),
     ("sweep", {"dims": [2, 4], "samples_per_dim": 1.5}, "samples_per_dim"),
     ("spike-demo", {"trials": False}, "trials"),
+    # non-finite loss vectors, which reached the loss constructors
+    ("optimize", {"loss": {"kind": "least-squares", "target": {"fill": math.inf}}}, "loss.target"),
+    ("optimize", {"loss": {"kind": "least-squares", "target": {"fill": math.nan}}}, "loss.target"),
+    ("optimize", {"loss": {"kind": "least-squares", "target": [1.0] * 9 + [math.nan]}},
+     "loss.target"),
+    ("optimize", {"loss": {"kind": "power", "target": {"fill": math.inf}}}, "loss.target"),
+    ("optimize", {"loss": {"kind": "linear-gaussian", "theta_star": {"fill": math.nan}}},
+     "loss.theta_star"),
+    ("optimize", {"loss": {"kind": "linear-gaussian", "theta_star": [1.0] * 9 + [math.inf]}},
+     "loss.theta_star"),
+    # non-finite values that ran
+    ("optimize", {"schedule": {"kind": "constant", "alpha0": math.nan}}, "schedule.alpha0"),
+    ("optimize", {"schedule": {"kind": "constant", "alpha0": math.inf}}, "schedule.alpha0"),
+    ("optimize", {"schedule": {"kind": "constant", "alpha0": 0.01, "power": math.nan}},
+     "schedule.power"),
+    ("optimize", {"strategy": {"kind": "previous", "decay": math.inf}}, "strategy.decay"),
+    ("optimize", {"beta": math.inf}, "beta"),
+    ("optimize", {"loss": {"kind": "linear-gaussian", "noise_sd": math.nan}}, "loss.noise_sd"),
+    ("optimize", {"loss": {"kind": "linear-gaussian", "noise_sd": math.inf}}, "loss.noise_sd"),
+    ("spike-demo", {"input_vector": [0.0, math.inf, 0.0]}, "input_vector"),
+    ("spike-demo", {"input_vector": [0.0, math.nan, 0.0]}, "input_vector"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -442,6 +464,20 @@ def test_integral_float_config_values_count_as_integers(tmp_path):
 def test_optimize_requires_config(capsys):
     assert main(["optimize"]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", b'{"dim": ' + b"1" * 5000 + b"}",
+                                     b"[" * 100_000, None],
+                         ids=["not-utf8", "long-integer", "deep-nesting", "directory"])
+def test_unreadable_config_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["optimize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +665,18 @@ def test_sweep_csv_equals_the_serial_one_pass_loop(tmp_path, cpus):
             for idx, d in enumerate(dims)]
     assert (tmp_path / "s.csv").read_text() == "d,quantity,value,se\n" + "".join(
         f"{d},variance,{var!r},{se!r}\n" for d, var, se in rows)
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["config", "--out"])
+def test_sweep_out_ending_in_json_exits_two_before_writing(tmp_path, capsys, override):
+    # the slope sidecar is out with its suffix replaced by .json
+    out = tmp_path / "sweep.json"
+    doc = {**FUZZ_BASES["sweep"], "out": "elsewhere.csv" if override else str(out)}
+    cfg = write_config(tmp_path, "config.json", doc)
+    assert main(["sweep", "--config", cfg, *(["--out", str(out)] if override else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'out' ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -870,8 +918,6 @@ FUZZ_BASES = {
         "input_offset": 0.0, "readout": {"scale": 1.0, "offset": 0.0, "sentinel": 1e6},
         "reward_delta": 0.1, "alpha": 0.1, "plasticity": True, "out": "spikes.csv"},
 }
-FUZZ_KEYS = {"optimize": ["memory"], "verify": [], "sweep": [],
-             "spike-demo": ["transform"]}
 # names the config parser knows; no check name with a costly default sample count
 FUZZ_WORDS = ["kind", "fill", "target", "power", "alpha0", "memory", "decay", "theta_star",
               "noise_sd", "lam", "scale", "offset", "sentinel", "threshold", "amplitude",
@@ -892,9 +938,42 @@ json_values = st.recursive(
     max_leaves=6)
 
 
-def run_fuzzed(command: str, key: str, value, workdir: Path):
-    """Exit code and stderr of ``command`` on its base config with ``key`` set to ``value``."""
-    cfg = write_config(workdir, "fuzz.json", {**FUZZ_BASES[command], key: value})
+def table_fields(table: dict, prefix: str = ""):
+    """(dotted path, kind, default, bound) of every field of a config table,
+    nested ones included; a ByKind's "kind" is a field of its own."""
+    for key, (kind, default, bound) in table.items():
+        path = prefix + key
+        yield path, kind, default, bound
+        if isinstance(kind, cli.ByKind):
+            yield f"{path}.kind", tuple(kind), cli.REQUIRED, None
+            for sub in kind.values():
+                yield from table_fields(sub, path + ".")
+        elif isinstance(kind, dict):
+            yield from table_fields(kind, path + ".")
+
+
+FUZZ_PATHS = {command: sorted({path for path, *_ in table_fields(cli.TABLES[command])})
+              for command in FUZZ_BASES}
+
+
+def with_field(doc: dict, path: str, value) -> dict:
+    """A copy of ``doc`` with the field at the dotted ``path`` set to
+    ``value``; a parent that is absent or not an object becomes one."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def run_fuzzed(command: str, path: str, value, workdir: Path):
+    """Exit code and stderr of ``command`` on its base config with the
+    field at ``path`` set to ``value``."""
+    cfg = write_config(workdir, "fuzz.json", with_field(FUZZ_BASES[command], path, value))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--config", cfg])
@@ -908,14 +987,41 @@ def run_fuzzed(command: str, key: str, value, workdir: Path):
 def test_fuzzed_config_field_exits_cleanly(tmp_path, monkeypatch, command, data):
     # relative output paths land in the test's directory
     monkeypatch.chdir(tmp_path)
-    key = data.draw(st.sampled_from(sorted(FUZZ_BASES[command]) + FUZZ_KEYS[command])
-                    | fuzz_text, label="key")
+    path = data.draw(st.sampled_from(FUZZ_PATHS[command]) | fuzz_text, label="path")
     value = data.draw(json_values, label="value")
-    code, err = run_fuzzed(command, key, value, tmp_path)
+    code, err = run_fuzzed(command, path, value, tmp_path)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def reference_row(path: str, kind, default, bound) -> str:
+    """The README field-reference row of one table field."""
+    def kind_text(kind):
+        if isinstance(kind, tuple):
+            return "one of " + ", ".join(kind)
+        if isinstance(kind, list):
+            return "list of " + kind_text(kind[0])
+        if isinstance(kind, dict):
+            return "object"
+        return {int: "int", float: "float", bool: "bool", str: "string", cli.VECTOR: "vector"}[kind]
+    if default is cli.REQUIRED:
+        default = "required"
+    elif isinstance(kind, list) and default == list(kind[0]):
+        default = "all, in this order"
+    else:
+        default = f"`{json.dumps(default)}`"
+    return f"| `{path}` | {kind_text(kind)} | {default} | {bound or '—'} |"
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_readme_field_reference_matches_the_tables(command):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"`spikezero {command}` fields:", 1)[1].split("\n\n", 2)[1]
+    rows = list(dict.fromkeys(reference_row(*field)
+                              for field in table_fields(cli.TABLES[command])))
+    assert section.splitlines()[2:] == rows
 
 
 # ---------------------------------------------------------------------------
