@@ -40,7 +40,6 @@ from .spiking import (
     KernelParams,
     Topology,
     interarrival_time,
-    load_topology,
     next_spike_time,
     plasticity_update,
     potential,

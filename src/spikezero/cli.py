@@ -17,9 +17,11 @@ import os
 import pickle
 import sys
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +39,12 @@ from .optimizers import (
 from .perturbation import NoiseConfig
 from .spiking import (
     KernelParams,
-    load_topology,
+    Topology,
     plasticity_update,
     run_trial,
     stdp_update,  # noqa: F401 -- importable from here for perfbench/layertrace.py
 )
 from .verification import (
-    DEFAULT_HALF_INTERVALS,
     Lanes,
     check_componentwise,
     check_density_mass,
@@ -85,10 +86,11 @@ def resolve(doc: dict, table: dict, path: str = "") -> dict:
     """``doc`` checked against ``table``, every absent field at its default.
 
     ``table`` maps each field to (kind, default, bound); TABLES holds one
-    per command. A kind is int or float (a number), bool, str (nonempty),
-    VECTOR (a list of numbers, or {"fill": x}, which resolves to the float
-    x), a tuple (one of its strings), [kind] (a list of that kind), a dict
-    (a nested table) or a ByKind. Floats and vector entries must be finite.
+    per command and one for the topology file. A kind is int or float (a
+    JSON number, neither a string nor a bool), bool, str (nonempty), VECTOR
+    (a list of numbers, or {"fill": x}, which resolves to the float x), a
+    tuple (one of its strings), [kind] (a list of that kind), a dict (a
+    nested table) or a ByKind. Floats and vector entries must be finite.
     A REQUIRED field must be given; a field whose default is None takes
     null. A bound, "> x" or ">= x", holds for a number, each vector entry
     and the length of a list. Raises ConfigError naming the dotted path of
@@ -137,18 +139,21 @@ def _resolve_value(value, kind, default, bound, field: str):
         if isinstance(value, dict):
             return resolve(value, {"fill": (float, REQUIRED, bound)}, field + ".")["fill"]
         try:
+            if not (isinstance(value, list) and all(map(_is_number, value))):
+                raise TypeError
             value = np.asarray(value, dtype=np.float64)
-        except (ValueError, TypeError, OverflowError):
-            value = None
-        if value is None or value.ndim != 1:
-            raise ConfigError(f'field {field!r} must be a list of numbers or {{"fill": x}}')
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"field {field!r} must be a list of numbers "
+                              f'or {{"fill": x}}') from exc
         shown = " in every entry"
     else:
         try:
+            if not _is_number(value):
+                raise TypeError
             number = kind(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"field {field!r} is not a valid number: {value!r}") from exc
-        if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
+        if kind is int and isinstance(value, float) and number != value:
             raise ConfigError(f"field {field!r} must be an integer, not {value!r}")
         value, shown = number, f", not {number!r}"
     if kind is not int and not np.all(np.isfinite(value)):
@@ -156,6 +161,11 @@ def _resolve_value(value, kind, default, bound, field: str):
     if bound is not None and not _within(value, bound):
         raise ConfigError(f"field {field!r} must be {bound}{shown}")
     return value
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: not a string, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _within(value, bound: str) -> bool:
@@ -185,22 +195,27 @@ def _built(path: str = ""):
         raise ConfigError(f"{path}{exc}") from exc
 
 
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in the ``what`` file at ``path``."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a decoding error, a number too long to convert, or nesting too deep
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
 def _config(args, command: str, required: bool = True) -> tuple[dict, Path | None]:
     """The resolved config of ``command`` after the --seed and --out
     overrides, and the directory of the config file."""
     doc, config_dir = {}, None
     if args.config is not None:
-        p = Path(args.config)
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from exc
-        except (ValueError, RecursionError) as exc:
-            # a decoding error, a number too long to convert, or nesting too deep
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        config_dir = p.parent
+        config_dir = Path(args.config).parent
+        doc = _read_json(Path(args.config), "config")
     elif required:
         raise ConfigError("a config file is required (--config)")
     overrides = {key: value for key, value in (("seed", args.seed), ("out", args.out))
@@ -233,78 +248,66 @@ def _write_text(path: Path, text: str):
 # verify
 
 
-# every check, in the order of its substream, with its default sample count
-# (None for a check that draws no samples)
-_CHECKS = {
-    "normalizer": None,
-    "density-mass": None,
-    "density-sampler": 100_000,
-    "stein": 1_000_000,
-    "stein-zero": 1_000_000,
-    "mean-step": 1_000_000,
-    "mean-step-quartic": 1_000_000,
-    "componentwise": 1_000_000,
-    "zero-mean-prev": 1_000_000,
-    "zero-mean-prev-quartic": 1_000_000,
-    "variance-scaling": 100_000,
-    "divergence": None,
+class Check(NamedTuple):
+    """A verify check. ``run(rng, n, a, lanes)`` calls its check function,
+    looked up in this module at the call, on its fixture at half-interval
+    ``a``. ``n`` is its default sample count and ``min_n`` the least it
+    takes, None if it draws none; a ``sweep`` check runs on a lane of its own."""
+
+    run: Callable
+    n: int | None = None
+    min_n: int | None = None
+    sweep: bool = False
+
+
+# In the order of the checks' substreams; a new check goes last. The 690 is
+# ceil(5 / lightest bin mass) over the default half-intervals, pinned so that
+# import skips the quadrature; a test holds it to check_density_sampler's.
+CHECKS = {
+    "normalizer": Check(lambda rng, n, a, lanes: check_normalizer(seed=rng.seed)),
+    "density-mass": Check(lambda rng, n, a, lanes: check_density_mass(seed=rng.seed)),
+    "density-sampler": Check(lambda rng, n, a, lanes: check_density_sampler(rng, n=n),
+                             100_000, 690),
+    "stein": Check(lambda rng, n, a, lanes: check_stein(
+        np.zeros(5), np.ones(5), sigma2=1.0, n=n, rng=rng), 1_000_000, 10_000),
+    "stein-zero": Check(lambda rng, n, a, lanes: check_stein(
+        np.ones(5), np.ones(5), sigma2=1.0, n=n, rng=rng), 1_000_000, 10_000),
+    "mean-step": Check(lambda rng, n, a, lanes: check_mean_step(
+        LeastSquaresLoss([1.0]), [0.0], a, alpha=1.0, n=n, rng=rng), 1_000_000, 2),
+    "mean-step-quartic": Check(lambda rng, n, a, lanes: check_mean_step(
+        PowerLoss(4, dim=1), [1.0], a, alpha=1.0, n=n, rng=rng), 1_000_000, 2),
+    "componentwise": Check(lambda rng, n, a, lanes: check_componentwise(
+        LeastSquaresLoss([1.0, -0.5, 2.0]), np.zeros(3), a, alpha=1.0, n=n, rng=rng),
+        1_000_000, 2),
+    "zero-mean-prev": Check(lambda rng, n, a, lanes: check_zero_mean_prev(
+        LeastSquaresLoss([1.0, 2.0]), [0.3, -0.2], a, n=n, rng=rng), 1_000_000, 10_000),
+    "zero-mean-prev-quartic": Check(lambda rng, n, a, lanes: check_zero_mean_prev(
+        PowerLoss(4, dim=2), [0.5, -1.0], a, n=n, rng=rng), 1_000_000, 10_000),
+    "variance-scaling": Check(lambda rng, n, a, lanes: check_variance_scaling(
+        (10, 32, 100, 316, 1000), sigma2=1.0, n=n, rng=rng, lanes=lanes), 100_000, 2, sweep=True),
+    "divergence": Check(lambda rng, n, a, lanes: divergence_demo()[0]),
 }
-_CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_check(name: str, seed: int, half_interval: float, n: int | None,
                lanes: Lanes | None = None):
-    rng = RngStream(seed).substream(_CHECK_NAMES.index(name))
-    n = n if n is not None else _CHECKS[name]
-    if name == "normalizer":
-        return check_normalizer(DEFAULT_HALF_INTERVALS, seed=seed)
-    if name == "density-mass":
-        return check_density_mass(DEFAULT_HALF_INTERVALS, seed=seed)
-    if name == "density-sampler":
-        return check_density_sampler(rng, DEFAULT_HALF_INTERVALS, n=n)
-    if name == "stein":
-        return check_stein(np.zeros(5), np.ones(5), sigma2=1.0, n=n, rng=rng)
-    if name == "stein-zero":
-        rep = check_stein(np.ones(5), np.ones(5), sigma2=1.0, n=n, rng=rng)
-        rep.name = "stein-zero"
-        return rep
-    if name == "mean-step":
-        loss = LeastSquaresLoss([1.0])
-        rep = check_mean_step(loss, [0.0], half_interval, alpha=1.0, n=n, rng=rng)
-        return rep
-    if name == "mean-step-quartic":
-        loss = PowerLoss(4, dim=1)
-        rep = check_mean_step(loss, [1.0], half_interval, alpha=1.0, n=n, rng=rng)
-        rep.name = "mean-step-quartic"
-        return rep
-    if name == "componentwise":
-        loss = LeastSquaresLoss([1.0, -0.5, 2.0])
-        return check_componentwise(loss, np.zeros(3), half_interval, alpha=1.0, n=n, rng=rng)
-    if name == "zero-mean-prev":
-        loss = LeastSquaresLoss([1.0, 2.0])
-        return check_zero_mean_prev(loss, [0.3, -0.2], half_interval, n=n, rng=rng)
-    if name == "zero-mean-prev-quartic":
-        loss = PowerLoss(4, dim=2)
-        rep = check_zero_mean_prev(loss, [0.5, -1.0], half_interval, n=n, rng=rng)
-        rep.name = "zero-mean-prev-quartic"
-        return rep
-    if name == "variance-scaling":
-        return check_variance_scaling((10, 32, 100, 316, 1000), sigma2=1.0, n=n, rng=rng,
-                                      lanes=lanes)
-    if name == "divergence":
-        report, _ = divergence_demo()
-        return report
+    """The report of check ``name``, at its default sample count if ``n`` is None."""
+    check = CHECKS[name]
+    rng = RngStream(seed).substream(list(CHECKS).index(name))
+    report = check.run(rng, check.n if n is None else n, half_interval, lanes)
+    report.name = name  # in place: a wrapper of the check function may hold the report
+    return report
 
 
 def cmd_verify(args) -> int:
     c, _ = _config(args, "verify", required=False)
     checks, samples = c["checks"], c["samples"]
 
-    # Two lanes: one runs the variance-scaling checks, whose sweep rows have
-    # a small working set, the other runs the rest in config order, so at
-    # most one full-size check runs at a time. The idle lane takes sweep
-    # rows. Each lane stops at its first failure; the first failure in
-    # config order is the one a serial run would have met.
+    # Two lanes: one runs the sweep checks, whose sweep rows have a small
+    # working set, the other runs the rest in config order, so at most one
+    # full-size check runs at a time. The idle lane takes sweep rows. Each
+    # lane stops at its first failure; the first failure in config order is
+    # the one a serial run would have met.
     reports = [None] * len(checks)
     failures = {}
 
@@ -312,16 +315,16 @@ def cmd_verify(args) -> int:
         for i in indices:
             try:
                 # a check that leaves the floating-point range fails instead of
-                # warning; so does one given fewer samples than it needs
+                # warning
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     reports[i] = _run_check(checks[i], c["seed"], c["half_interval"],
-                                            samples[checks[i]], lanes)
+                                            samples.get(checks[i]), lanes)
             except Exception as exc:
                 failures[i] = exc
                 return
 
-    sweeps = [i for i, name in enumerate(checks) if name == "variance-scaling"]
-    others = [i for i, name in enumerate(checks) if name != "variance-scaling"]
+    sweeps = [i for i, name in enumerate(checks) if CHECKS[name].sweep]
+    others = [i for i, name in enumerate(checks) if not CHECKS[name].sweep]
     with Lanes() as lanes:
         lanes.map(run_lane, [sweeps, others])
     if failures:
@@ -541,12 +544,11 @@ def cmd_spike_demo(args) -> int:
     topo_file = Path(c["topology"])
     if not topo_file.is_absolute() and config_dir is not None:
         topo_file = config_dir / topo_file
-    if not topo_file.is_file():
-        raise ConfigError(f"topology file not found: {topo_file}")
-    try:
-        topology = load_topology(topo_file)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    doc = _read_json(topo_file, "topology")
+    # the topology's own rules (ranges, self-loops, duplicates, cycles) stay with Topology
+    with _built(f"topology file {topo_file}: "):
+        t = resolve(doc, TABLES["topology"])
+        topology = Topology(t["neurons"], t["edges"], t["inputs"], t["outputs"])
 
     with _built("params."):
         params = KernelParams(**c["params"])
@@ -632,9 +634,10 @@ def cmd_spike_demo(args) -> int:
 
 TABLES = {
     "verify": {
-        "checks": ([_CHECK_NAMES], list(_CHECK_NAMES), None),
+        "checks": ([tuple(CHECKS)], list(CHECKS), None),
         # null, or absent, is the check's own sample count
-        "samples": ({name: (int, None, None) for name in _CHECK_NAMES}, {}, None),
+        "samples": ({name: (int, None, f">= {check.min_n}") for name, check in CHECKS.items()
+                     if check.n is not None}, {}, None),
         "half_interval": (float, 1.0, "> 0"),
         "seed": (int, 1, ">= 0"),
         "out": (str, "verify_report.json", None),
@@ -689,6 +692,13 @@ TABLES = {
         "plasticity": (bool, True, None),
         "transform": ({"lam": (VECTOR, {"fill": 1.0}, "> 0")}, None, None),
         "out": (str, "spikes.csv", None),
+    },
+    # the file a spike-demo config's topology field names
+    "topology": {
+        "neurons": (int, REQUIRED, ">= 1"),
+        "edges": ([[int]], REQUIRED, None),
+        "inputs": ([int], REQUIRED, ">= 1"),
+        "outputs": ([int], REQUIRED, ">= 1"),
     },
 }
 

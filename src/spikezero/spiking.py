@@ -32,7 +32,6 @@ a dict. :func:`stdp_update` is the same rule for a single edge.
 from __future__ import annotations
 
 import graphlib
-import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,7 +40,6 @@ import numpy as np
 
 __all__ = [
     "Topology",
-    "load_topology",
     "KernelParams",
     "potential",
     "next_spike_time",
@@ -67,6 +65,8 @@ class Topology:
     def __post_init__(self):
         if self.n_neurons < 1:
             raise ValueError("topology needs at least one neuron")
+        if any(len(edge) != 2 for edge in self.edges):
+            raise ValueError("every edge must be a pair of neurons [i, j]")
         edges = tuple((int(i), int(j)) for i, j in self.edges)
         inputs = tuple(int(i) for i in self.inputs)
         outputs = tuple(int(i) for i in self.outputs)
@@ -119,21 +119,6 @@ class Topology:
         if not 0 <= j < self.n_neurons:
             return []
         return [i for _, i in self._fan_in[j]]
-
-
-def load_topology(path) -> Topology:
-    """Read a topology from JSON: {neurons, edges, inputs, outputs}."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    expected = {"neurons", "edges", "inputs", "outputs"}
-    unknown = set(doc) - expected
-    if unknown:
-        raise ValueError(f"unknown topology field {sorted(unknown)[0]!r}")
-    missing = expected - set(doc)
-    if missing:
-        raise ValueError(f"topology file missing field {sorted(missing)[0]!r}")
-    return Topology(n_neurons=doc["neurons"], edges=tuple(map(tuple, doc["edges"])),
-                    inputs=tuple(doc["inputs"]), outputs=tuple(doc["outputs"]))
 
 
 @dataclass(frozen=True)

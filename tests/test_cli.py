@@ -156,12 +156,16 @@ def test_verify_report_equals_serial_checks(tmp_path, configs_dir, cpus, config)
                                           (["stein", "variance-scaling"], "stein")])
 def test_first_failing_check_in_config_order_is_named(tmp_path, capsys, monkeypatch, cpus,
                                                       checks, named):
+    def early_failure(*args, **kwargs):
+        raise ValueError("early failure")
+
     def late_failure(*args, **kwargs):
         time.sleep(0.2)  # fails after stein has failed on the other lane
         raise ValueError("late failure")
 
+    monkeypatch.setattr(cli, "check_stein", early_failure)
     monkeypatch.setattr(cli, "check_variance_scaling", late_failure)
-    cfg = write_config(tmp_path, "verify.json", {"checks": checks, "samples": {"stein": 5},
+    cfg = write_config(tmp_path, "verify.json", {"checks": checks,
                                                  "out": str(tmp_path / "report.json")})
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -180,34 +184,60 @@ def run_warnings_as_errors(tmp_path, command, doc):
     # every row overflows, the largest first; the first in dims order is named
     ("sweep", {"dims": [2, 300, 4], "samples_per_dim": 20, "sigma2": 1e-300},
      "error: the variance at d=2 leaves the floating-point range"),
+    # a sample count below a check's minimum is a field error
     ("verify", {"checks": ["normalizer", "variance-scaling"], "samples": {"variance-scaling": 1}},
-     "error: check 'variance-scaling': the variance sweep needs n >= 2, not 1"),
+     "error: field 'samples.variance-scaling' must be >= 2, not 1"),
     # a mean and standard error from fewer than two samples
     ("verify", {"checks": ["mean-step"], "samples": {"mean-step": 1}},
-     "error: check 'mean-step': check_mean_step needs n >= 2, not 1"),
+     "error: field 'samples.mean-step' must be >= 2, not 1"),
     ("verify", {"checks": ["mean-step"], "samples": {"mean-step": 0}},
-     "error: check 'mean-step': check_mean_step needs n >= 2, not 0"),
+     "error: field 'samples.mean-step' must be >= 2, not 0"),
     ("verify", {"checks": ["mean-step-quartic"], "samples": {"mean-step-quartic": 1}},
-     "error: check 'mean-step-quartic': check_mean_step needs n >= 2, not 1"),
+     "error: field 'samples.mean-step-quartic' must be >= 2, not 1"),
     ("verify", {"checks": ["componentwise"], "samples": {"componentwise": 0}},
-     "error: check 'componentwise': check_componentwise needs n >= 2, not 0"),
+     "error: field 'samples.componentwise' must be >= 2, not 0"),
     ("verify", {"checks": ["componentwise"], "samples": {"componentwise": 1}},
-     "error: check 'componentwise': check_componentwise needs n >= 2, not 1"),
+     "error: field 'samples.componentwise' must be >= 2, not 1"),
     # fewer draws than leave 5 expected in the default check's lightest bin
     ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 0}},
-     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
-     "so every bin expects at least 5 draws, not 0"),
+     "error: field 'samples.density-sampler' must be >= 690, not 0"),
     ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 1}},
-     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
-     "so every bin expects at least 5 draws, not 1"),
+     "error: field 'samples.density-sampler' must be >= 690, not 1"),
     ("verify", {"checks": ["density-sampler"], "samples": {"density-sampler": 689}},
-     "error: check 'density-sampler': check_density_sampler needs n >= 690 "
-     "so every bin expects at least 5 draws, not 689"),
+     "error: field 'samples.density-sampler' must be >= 690, not 689"),
 ])
 def test_sweep_row_failure_exits_two_without_warnings(tmp_path, command, doc, message):
     result = run_warnings_as_errors(tmp_path, command, doc)
     assert result.returncode == 2
     assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [name for name, check in cli.CHECKS.items()
+                                  if check.min_n is not None])
+def test_check_minimum_n_is_the_one_its_function_guards(name):
+    # the table's bound and the check function's own guard agree, which
+    # also holds the pinned density-sampler minimum to its quadrature
+    check = cli.CHECKS[name]
+    with pytest.raises(ValueError, match=f"needs n >= {check.min_n}\\b"):
+        _run_check(name, 1, 1.0, check.min_n - 1)
+    assert _run_check(name, 1, 1.0, check.min_n).name == name
+
+
+def test_too_small_sample_count_exits_two_before_any_check_runs(tmp_path, capsys, configs_dir,
+                                                                 monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("check_stein", "check_mean_step", "check_density_sampler"):
+        monkeypatch.setattr(cli, name, no_check)
+    doc = json.loads((configs_dir / "verify_default.json").read_text())
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "verify.json", {**doc, "samples": {"zero-mean-prev-quartic": 5},
+                                                 "out": str(out)})
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("error: field 'samples.zero-mean-prev-quartic' "
+                                       "must be >= 10000, not 5\n")
+    assert not out.exists()
 
 
 def test_density_sampler_at_its_minimum_n_is_no_config_error(tmp_path):
@@ -366,7 +396,17 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("optimize", {"theta0": {"fill": "abc"}}, "theta0.fill"),
     ("optimize", {"methods": 5}, "methods"),
     ("optimize", {"seed": -1}, "seed"),
-    ("verify", {"checks": ["normalizer"], "samples": {"normalizer": "x"}}, "samples.normalizer"),
+    ("verify", {"checks": ["stein"], "samples": {"stein": "x"}}, "samples.stein"),
+    # a check that draws no samples has no sample count
+    ("verify", {"checks": ["normalizer"], "samples": {"normalizer": -5}},
+     "unknown field 'samples.normalizer'"),
+    ("verify", {"checks": ["normalizer"], "samples": {"density-mass": 10}},
+     "unknown field 'samples.density-mass'"),
+    ("verify", {"checks": ["normalizer"], "samples": {"divergence": 10}},
+     "unknown field 'samples.divergence'"),
+    # a sample count's bound holds whether or not the check runs
+    ("verify", {"checks": ["normalizer"], "samples": {"stein": 5}},
+     "field 'samples.stein' must be >= 10000, not 5"),
     ("sweep", {"dims": ["a"]}, "dims"),
     ("spike-demo", {"trials": "x"}, "trials"),
     ("optimize", {"clamp": "false"}, "clamp"),
@@ -433,6 +473,21 @@ def test_optimize_rejects_top_level_memory(tmp_path, capsys):
     ("optimize", {"loss": {"kind": "linear-gaussian", "noise_sd": math.inf}}, "loss.noise_sd"),
     ("spike-demo", {"input_vector": [0.0, math.inf, 0.0]}, "input_vector"),
     ("spike-demo", {"input_vector": [0.0, math.nan, 0.0]}, "input_vector"),
+    # numbers are JSON numbers: neither strings nor booleans
+    ("sweep", {"dims": ["2", "40"]}, "dims[0]"),
+    ("sweep", {"dims": [2, 40], "samples_per_dim": "20"}, "samples_per_dim"),
+    ("sweep", {"dims": [2, 40], "sigma2": True}, "sigma2"),
+    ("verify", {"checks": ["normalizer"], "half_interval": True}, "half_interval"),
+    ("verify", {"checks": ["normalizer"], "samples": {"stein": "20000"}}, "samples.stein"),
+    ("optimize", {"dim": "3"}, "dim"),
+    ("optimize", {"sigma2": "1.0"}, "sigma2"),
+    ("optimize", {"theta0": {"fill": True}}, "theta0.fill"),
+    ("optimize", {"dim": 2, "theta0": ["1", "2"]}, "theta0"),
+    ("optimize", {"dim": 1, "theta0": [True]}, "theta0"),
+    ("optimize", {"loss": {"kind": "least-squares", "target": [1.0] * 9 + ["1.0"]}},
+     "loss.target"),
+    ("spike-demo", {"trials": "3"}, "trials"),
+    ("spike-demo", {"weights": [1.0, True, 1.0]}, "weights"),
 ])
 def test_non_numeric_config_value_exits_two(tmp_path, capsys, configs_dir, command, doc, field):
     base = {"optimize": json.loads(Path(optimize_config(tmp_path)).read_text()),
@@ -749,6 +804,45 @@ def test_spike_demo_cyclic_topology_exits_two(tmp_path, capsys):
                         "out": str(tmp_path / "x.csv")})
     assert main(["spike-demo", "--config", cfg]) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+def test_spike_demo_reads_the_topology_file(tmp_path):
+    topo = write_config(tmp_path, "topo.json", {"neurons": 4, "edges": [[0, 3], [1, 3], [2, 3]],
+                                                "inputs": [0, 1, 2], "outputs": [3]})
+    out = tmp_path / "x.csv"
+    cfg = write_config(tmp_path, "demo.json", {"topology": topo, "trials": 1, "out": str(out)})
+    assert main(["spike-demo", "--config", cfg]) == 0
+    assert [r["edge_or_neuron"] for r in read_rows(out) if r["kind"] == "weight"] == [
+        "0->3", "1->3", "2->3"]
+
+
+GOOD_TOPOLOGY = {"neurons": 2, "edges": [[0, 1]], "inputs": [0], "outputs": [1]}
+
+
+@pytest.mark.parametrize("content,message", [
+    (json.dumps({**GOOD_TOPOLOGY, "layers": 2}), "unknown field 'layers'"),
+    (json.dumps({"edges": [[0, 1]], "inputs": [0], "outputs": [1]}), "missing field 'neurons'"),
+    (json.dumps(list(GOOD_TOPOLOGY)), "topology must be a JSON object"),
+    (json.dumps({**GOOD_TOPOLOGY, "neurons": "x"}), "field 'neurons' is not a valid number"),
+    ("[" * 100_000, "topology is not valid JSON"),
+    (json.dumps({**GOOD_TOPOLOGY, "neurons": 0}), "field 'neurons' must be >= 1, not 0"),
+    (json.dumps({**GOOD_TOPOLOGY, "edges": [[0, 1, 1]]}), "every edge must be a pair"),
+    (json.dumps({**GOOD_TOPOLOGY, "edges": [0, 1]}), "field 'edges[0]' must be a list"),
+    (json.dumps({**GOOD_TOPOLOGY, "inputs": []}), "field 'inputs' must have >= 1 entries"),
+    (json.dumps({**GOOD_TOPOLOGY, "outputs": [True]}), "field 'outputs[0]'"),
+    (None, "cannot read topology file"),
+], ids=["unknown-field", "missing-field", "list", "string-neurons", "deep-nesting",
+        "no-neurons", "edge-triple", "flat-edges", "no-inputs", "bool-output", "absent"])
+def test_spike_demo_malformed_topology_exits_two(tmp_path, capsys, content, message):
+    topo = tmp_path / "topo.json"
+    if content is not None:
+        topo.write_text(content)
+    out = tmp_path / "x.csv"
+    cfg = write_config(tmp_path, "demo.json", {"topology": str(topo), "out": str(out)})
+    assert main(["spike-demo", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_spike_demo_nonpositive_weight_exits_one_with_rows_so_far(tmp_path, capsys):

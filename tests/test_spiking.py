@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from spikezero.spiking import (
     KernelParams,
     Topology,
     interarrival_time,
-    load_topology,
     next_spike_time,
     plasticity_update,
     potential,
@@ -42,6 +40,8 @@ def test_topology_rejects_self_loop_and_bad_ids():
         Topology(n_neurons=2, edges=((0, 5),), inputs=(0,), outputs=(1,))
     with pytest.raises(ValueError, match="duplicate"):
         Topology(n_neurons=2, edges=((0, 1), (0, 1)), inputs=(0,), outputs=(1,))
+    with pytest.raises(ValueError, match="pair"):
+        Topology(n_neurons=2, edges=((0, 1, 1),), inputs=(0,), outputs=(1,))
 
 
 def test_topology_order_respects_edges():
@@ -54,22 +54,6 @@ def test_topology_parents_in_edge_order():
                     outputs=(3,))
     assert [topo.parents(j) for j in range(4)] == [[], [0], [], [2, 0, 1]]
     assert topo.parents(7) == []
-
-
-def test_load_topology_roundtrip(tmp_path):
-    path = tmp_path / "topo.json"
-    path.write_text(json.dumps({"neurons": 4, "edges": [[0, 3], [1, 3], [2, 3]],
-                                "inputs": [0, 1, 2], "outputs": [3]}))
-    topo = load_topology(path)
-    assert topo.edges == ((0, 3), (1, 3), (2, 3))
-
-
-def test_load_topology_rejects_unknown_field(tmp_path):
-    path = tmp_path / "topo.json"
-    path.write_text(json.dumps({"neurons": 2, "edges": [[0, 1]], "inputs": [0],
-                                "outputs": [1], "layers": 2}))
-    with pytest.raises(ValueError, match="layers"):
-        load_topology(path)
 
 
 # ---------------------------------------------------------------------------
